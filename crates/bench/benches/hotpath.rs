@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, UnitAddr};
+use jetty_core::{kernels, AddrSpace, FilterEvent, FilterSpec, MissScope, UnitAddr};
 use jetty_sim::{FastMap, L2Cache, L2Config, Moesi};
 use jetty_workloads::{apps, TraceGen};
 
@@ -196,7 +196,7 @@ fn batch_probe_benches(c: &mut Criterion) {
         let mut filter = spec.build_any(AddrSpace::default());
         group.bench_function(name, |b| {
             b.iter(|| {
-                filter.apply_batch(&events, 1);
+                filter.apply_batch(kernels::active_level(), &events, 1);
             })
         });
     }

@@ -1,20 +1,12 @@
-//! SIMD kernel microbenchmarks: every kernel pair from
-//! `jetty_core::kernels` pinned side by side at both dispatch levels, so
-//! the AVX2 path's advantage (or a regression that erases it) is a
-//! number in CI output rather than a guess. On hosts without AVX2 only
-//! the `_scalar` series runs.
+//! SIMD kernel microbenchmarks: kernel pairs from `jetty_core::kernels`
+//! pinned side by side at both dispatch levels, so the AVX2 path's
+//! advantage (or a regression that erases it) is a number in CI output
+//! rather than a guess. On hosts without AVX2 only the `_scalar` series
+//! runs.
 //!
-//! * `find_key_*` — the 4-lane set-window scan against the branchless
-//!   scalar reverse scan (the EJ/VEJ way find). Measured through
-//!   `find_key_with`, the level-forcing entry: the public `find_key` is
-//!   pinned to the scalar scan (a standalone 4-wide lookup is too small
-//!   to amortise vector setup — this bench is the evidence), so only the
-//!   `_with` bypass can still exercise the AVX2 lane find side by side;
 //! * `ej_replay_*` — the in-place chunk replay the filters feed
 //!   (find + LRU stamp + record/victim bookkeeping per snoop);
-//! * `pbit_test_many_*` — IJ's batched packed-bitmap probe;
-//! * `snoop_probe_many_*` — the packed L2 probe over the hot-record
-//!   array (tag + valid/state meta in one `u128` per block).
+//! * `pbit_test_many_*` — IJ's batched packed-bitmap probe.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use jetty_core::kernels::{self, EjGeom, SimdLevel};
@@ -44,8 +36,8 @@ fn levels() -> Vec<(&'static str, SimdLevel)> {
 }
 
 /// An EJ-32x4-shaped flat key array, half the ways populated and the
-/// rest left at the sentinel, plus per-probe (base, tag) pairs.
-fn ej_fixture(addrs: &[u64]) -> (Vec<u64>, Vec<(u32, u64)>) {
+/// rest left at the sentinel.
+fn ej_fixture(addrs: &[u64]) -> Vec<u64> {
     const SETS: u64 = 32;
     const WAYS: usize = 4;
     let mut keys = vec![u64::MAX; SETS as usize * WAYS];
@@ -54,34 +46,12 @@ fn ej_fixture(addrs: &[u64]) -> (Vec<u64>, Vec<(u32, u64)>) {
         let tag = a / SETS;
         keys[set * WAYS + i % WAYS] = tag << 1 | 1;
     }
-    let probes = addrs.iter().map(|&a| (((a % SETS) as u32) * WAYS as u32, a / SETS)).collect();
-    (keys, probes)
-}
-
-fn find_key_benches(c: &mut Criterion) {
-    let addrs = addresses(1 << 13);
-    let (keys, probes) = ej_fixture(&addrs);
-    let mut group = c.benchmark_group("kernels");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(probes.len() as u64));
-    for (name, level) in levels() {
-        group.bench_function(format!("find_key_{name}"), |b| {
-            b.iter(|| {
-                let mut hits = 0u64;
-                for &(base, tag) in &probes {
-                    let window = &keys[base as usize..base as usize + 4];
-                    hits += u64::from(kernels::find_key_with(level, window, tag).is_some());
-                }
-                hits
-            })
-        });
-    }
-    group.finish();
+    keys
 }
 
 fn ej_replay_benches(c: &mut Criterion) {
     let addrs = addresses(1 << 13);
-    let (keys, _) = ej_fixture(&addrs);
+    let keys = ej_fixture(&addrs);
     // Geometry matching the fixture: block == unit, set = addr % 32,
     // tag = addr / 32 — exactly what `ej_fixture` populated.
     let geom = EjGeom { block_shift: 0, set_mask: 31, set_bits: 5 };
@@ -136,41 +106,5 @@ fn pbit_test_many_benches(c: &mut Criterion) {
     group.finish();
 }
 
-fn snoop_probe_many_benches(c: &mut Criterion) {
-    // Paper L2 geometry: 16384 blocks (index_bits 14), 2 subblocks
-    // (sub_bits 1), half the sets resident.
-    const INDEX_BITS: u32 = 14;
-    let units = addresses(1 << 13);
-    let blocks = 1usize << INDEX_BITS;
-    let mut hot = vec![0u128; blocks];
-    for &a in units.iter().take(blocks / 2) {
-        let block = a >> 1;
-        let idx = (block as usize) & (blocks - 1);
-        let tag = block >> INDEX_BITS;
-        let meta = 1u64 << (a & 1);
-        hot[idx] = tag as u128 | ((meta as u128) << 64);
-    }
-    let mut group = c.benchmark_group("kernels");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(units.len() as u64));
-    for (name, level) in levels() {
-        let mut out = Vec::with_capacity(units.len());
-        group.bench_function(format!("snoop_probe_many_{name}"), |b| {
-            b.iter(|| {
-                out.clear();
-                kernels::snoop_probe_many(level, &hot, &units, 1, INDEX_BITS, &mut out);
-                out.iter().filter(|&&f| f != 0).count()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    find_key_benches,
-    ej_replay_benches,
-    pbit_test_many_benches,
-    snoop_probe_many_benches
-);
+criterion_group!(benches, ej_replay_benches, pbit_test_many_benches);
 criterion_main!(benches);

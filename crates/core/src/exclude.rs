@@ -216,27 +216,15 @@ impl ExcludeJetty {
     /// on an unfiltered genuine miss), but with the probe/filtered counters
     /// accumulated in registers and charged once per batch, and the key and
     /// stamp arrays staying cache-resident across the whole batch. `node`
-    /// only labels the safety panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](ExcludeJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point; both levels produce
-    /// identical observable state (pinned by the `simd_equivalence`
-    /// suite).
+    /// only labels the safety panic. Both kernel levels produce identical
+    /// observable state (pinned by the `simd_equivalence` suite).
     ///
     /// The event chunk goes to a single [`kernels::ej_replay`] call
     /// **as-is** — no gather pass, no scratch copy: the kernel splits
     /// each unit address with this filter's [`EjGeom`] as it goes and
     /// fuses the eager probe+record sequence around one lookup per
     /// snoop, tick order preserved exactly.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
+    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
         let out = self.replay_events(level, events, &[]);
         if let Some(bad) = out.unsafe_at {
             let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
@@ -291,26 +279,6 @@ impl ExcludeJetty {
         self.activity.filtered += out.filtered;
         self.activity.arrays[0].writes += out.writes;
         out
-    }
-
-    /// [`probe`](SnoopFilter::probe) with an explicit kernel level for the
-    /// way scan — used by the hybrid's batched replay so its EJ side rides
-    /// the same dispatch decision. Observably identical to `probe` at
-    /// every level.
-    pub fn probe_with(&mut self, level: SimdLevel, addr: UnitAddr) -> Verdict {
-        self.activity.probes += 1;
-        let (set, tag) = self.split(addr);
-        let base = set * self.config.ways;
-        if let Some(way) = kernels::find_key(level, &self.keys[base..base + self.config.ways], tag)
-        {
-            let slot = base + way;
-            self.stamps[slot] = self.tick();
-            if self.keys[slot] & 1 != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
     }
 }
 

@@ -20,7 +20,7 @@ use crate::addr::{AddrSpace, UnitAddr};
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
 use crate::include::{IncludeConfig, IncludeJetty};
-use crate::kernels::{self, SimdLevel};
+use crate::kernels::SimdLevel;
 use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
 /// The exclude-side component of a hybrid: scalar or vectored.
@@ -210,12 +210,6 @@ impl HybridJetty {
     /// structures hot across the batch; `probe` carries the eager-ablation
     /// side effects, so replay goes through it rather than inlining the
     /// components. `node` only labels the safety panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](HybridJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point.
     ///
     /// Under the paper's backup policy the **same** event chunk is
     /// replayed by two kernel calls, with no gather pass: the IJ pass
@@ -227,12 +221,7 @@ impl HybridJetty {
     /// filters. The eager-allocation ablation (which mutates the exclude
     /// part mid-run on IJ-filtered snoops) keeps its per-event replay
     /// below.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
+    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
         if self.config.ej_allocation == EjAllocation::Backup {
             let mut verdicts = std::mem::take(&mut self.scratch_absent);
             // IJ pass: verdicts + counter RMWs. Its unsafe index is
@@ -274,7 +263,7 @@ impl HybridJetty {
                             unreachable!("gathered run contains only snoop events");
                         };
                         self.probes += 1;
-                        let ej = exclude_dispatch!(&mut self.exclude, probe_with(level, unit));
+                        let ej = exclude_dispatch!(&mut self.exclude, probe(unit));
                         if ij_filtered || ej.is_filtered() {
                             // Same eager-ablation sequence as `probe`, per
                             // event and in order (its p-bit read charges

@@ -268,23 +268,12 @@ impl IncludeJetty {
     /// p-bit bitmap cache-resident across the batch. IJ ignores
     /// `record_snoop_miss`, so unfiltered misses need no replay work; the
     /// safety assertion fires exactly as in the eager path. `node` only
-    /// labels the panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](IncludeJetty::apply_batch) with an explicit kernel
-    /// level — the differential-test entry point. The event chunk goes
-    /// to a single [`kernels::ij_replay`] call as-is (no gather pass):
-    /// snoop runs batch-test the packed p-bit bitmap four units at a
-    /// time, allocate/deallocate counter read-modify-writes run in event
-    /// order inside the kernel.
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
+    /// labels the panic. The event chunk goes to a single
+    /// [`kernels::ij_replay`] call as-is (no gather pass): snoop runs
+    /// batch-test the packed p-bit bitmap four units at a time,
+    /// allocate/deallocate counter read-modify-writes run in event order
+    /// inside the kernel.
+    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
         // Standalone IJ needs no per-event verdicts — only the hybrid's
         // EJ pass consumes them — so skip the recording entirely.
         let out = self.replay_events(level, events, None);

@@ -16,15 +16,13 @@
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_castsi256_pd,
-    _mm256_cmpeq_epi64, _mm256_i64gather_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-    _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_setzero_si256,
+    __m256i, _mm256_and_si256, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_i64gather_epi64,
+    _mm256_loadu_si256, _mm256_movemask_pd, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x,
     _mm256_sllv_epi64, _mm256_srl_epi64, _mm256_srli_epi64, _mm256_testz_si256, _mm_cvtsi64_si128,
 };
 
-use super::{scalar, EjGeom, IjReplayOut, ReplayOut, VejGeom, L2_BLOCK_PRESENT, L2_SUB_VALID};
+use super::{scalar, EjGeom, IjReplayOut, ReplayOut, VejGeom};
 use crate::filter::{FilterEvent, MissScope};
-use scalar::L2_META_VALID_MASK;
 
 /// 4-lane find over a set window: compares `keys[w] >> SHIFT` against
 /// `tag` (`SHIFT` is 1 for EJ keys, 0 for VEJ tags) and returns the
@@ -50,18 +48,6 @@ fn find_lanes<const SHIFT: i32>(keys: &[u64], tag: u64) -> Option<usize> {
         i += 4;
     }
     keys[i..].iter().position(|&k| k >> SHIFT == tag).map(|p| i + p)
-}
-
-/// AVX2 twin of [`scalar::find_key_ej`].
-#[target_feature(enable = "avx2")]
-pub(super) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
-    find_lanes::<1>(keys, tag)
-}
-
-/// AVX2 twin of [`scalar::find_key_vej`].
-#[target_feature(enable = "avx2")]
-pub(super) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
-    find_lanes::<0>(tags, tag)
 }
 
 /// AVX2 twin of [`scalar::ej_replay`]: the identical replay loop, with
@@ -454,72 +440,5 @@ pub(super) fn pbit_test_many(
     }
     for &u in &units[i..] {
         absent.push(scalar::pbit_absent(pbits, u, index_bits, sub_arrays, skip));
-    }
-}
-
-/// AVX2 twin of [`scalar::l2_probe_many`]: four snoop addresses per
-/// iteration, splitting sub/index/tag with lane shifts and gathering
-/// each set's 16-byte hot record — viewed as a pair of `u64` words
-/// (tag at `2*idx`, meta at `2*idx + 1` on little-endian x86) — so the
-/// per-event pointer chase becomes streaming loads.
-#[target_feature(enable = "avx2")]
-pub(super) fn l2_probe_many(
-    hot: &[u128],
-    units: &[u64],
-    sub_bits: u32,
-    index_bits: u32,
-    out: &mut Vec<u8>,
-) {
-    let sub_mask = _mm256_set1_epi64x(((1u64 << sub_bits) - 1) as i64);
-    let idx_mask = _mm256_set1_epi64x(((1u64 << index_bits) - 1) as i64);
-    let ones = _mm256_set1_epi64x(1);
-    let valid_mask = _mm256_set1_epi64x(L2_META_VALID_MASK as i64);
-    let zero = _mm256_setzero_si256();
-    let sub_shift = _mm_cvtsi64_si128(sub_bits as i64);
-    let idx_shift = _mm_cvtsi64_si128(index_bits as i64);
-    let mut i = 0;
-    while i + 4 <= units.len() {
-        // SAFETY: `i + 4 <= units.len()` keeps the 32-byte unaligned
-        // load inside the slice.
-        let u = unsafe { _mm256_loadu_si256(units.as_ptr().add(i).cast::<__m256i>()) };
-        let sub = _mm256_and_si256(u, sub_mask);
-        let block = _mm256_srl_epi64(u, sub_shift);
-        let idx = _mm256_and_si256(block, idx_mask);
-        let tag = _mm256_srl_epi64(block, idx_shift);
-        // Word indices into the u64 view of `hot`: tag word at 2*idx,
-        // meta word right after it.
-        let tag_word = _mm256_add_epi64(idx, idx);
-        let meta_word = _mm256_or_si256(tag_word, ones);
-        // SAFETY: `idx` is masked to `index_bits` bits and the
-        // dispatcher asserted `hot` holds `1 << index_bits` records =
-        // `2 << index_bits` u64 words, so `2*idx + 1` is in bounds for
-        // every lane.
-        let t = unsafe { _mm256_i64gather_epi64::<8>(hot.as_ptr().cast::<i64>(), tag_word) };
-        // SAFETY: as above — the meta word of the same in-bounds record.
-        let m = unsafe { _mm256_i64gather_epi64::<8>(hot.as_ptr().cast::<i64>(), meta_word) };
-        let v = _mm256_and_si256(m, valid_mask);
-        let block_present =
-            _mm256_andnot_si256(_mm256_cmpeq_epi64(v, zero), _mm256_cmpeq_epi64(t, tag));
-        let sub_bit = _mm256_sllv_epi64(ones, sub);
-        let sub_valid = _mm256_andnot_si256(
-            _mm256_cmpeq_epi64(_mm256_and_si256(v, sub_bit), zero),
-            block_present,
-        );
-        let bp = _mm256_movemask_pd(_mm256_castsi256_pd(block_present)) as u32;
-        let sv = _mm256_movemask_pd(_mm256_castsi256_pd(sub_valid)) as u32;
-        for lane in 0..4 {
-            let mut flags = 0u8;
-            if bp & (1 << lane) != 0 {
-                flags |= L2_BLOCK_PRESENT;
-            }
-            if sv & (1 << lane) != 0 {
-                flags |= L2_SUB_VALID;
-            }
-            out.push(flags);
-        }
-        i += 4;
-    }
-    for &u in &units[i..] {
-        out.push(scalar::l2_probe(hot, u, sub_bits, index_bits));
     }
 }

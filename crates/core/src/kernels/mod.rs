@@ -8,30 +8,18 @@
 //! geometry as it goes, and fuses find + probe + record around a single
 //! lookup per snoop. The per-call dispatch cost amortises over
 //! thousands of events and the replay loop compiles as a single AVX2
-//! function. This
-//! module supplies those loops in two interchangeable implementations:
-//! a portable scalar one (`scalar`, the reference semantics) and an
-//! AVX2 one (`avx2`, `std::arch::x86_64`), selected **once per
-//! process**:
+//! function. This module supplies four such kernels — [`ej_replay`],
+//! [`vej_replay`], [`ij_replay`] and [`pbit_test_many`] — each in two
+//! interchangeable implementations: a portable scalar one (`scalar`,
+//! the reference semantics) and an AVX2 one (`avx2`,
+//! `std::arch::x86_64`).
 //!
-//! * `JETTY_SIMD=scalar` / `JETTY_SIMD=avx2` force a path (forcing AVX2
-//!   on a host without it warns and falls back to scalar);
-//! * `JETTY_SIMD=auto` or unset picks AVX2 when
-//!   `is_x86_feature_detected!("avx2")` says the host has it;
-//! * any other value warns and behaves like `auto` — the same
-//!   precedence shape as `JETTY_THREADS`.
-//!
-//! Dispatch is **per-kernel** within a level: an AVX2 level runs the
-//! AVX2 replay and batch-probe kernels, but the standalone
-//! [`find_key`]/[`find_tag`] entries always run the scalar loop, where
-//! the tiny set windows make the vector setup a net loss (the lane
-//! find stays inlined — and profitable — inside the AVX2 replay
-//! loops). `*_with` variants bypass the override for differential
-//! tests.
-//!
-//! The resolved choice is logged to stderr once (`[simd] …`) so stored
-//! runs can attribute timing drift to dispatch changes, and surfaces in
-//! `--timings` as a `kernel=` tag.
+//! Which one runs is a platform fact, not a user option:
+//! [`active_level`] is AVX2 exactly when
+//! `is_x86_feature_detected!("avx2")` says the host has it. The level
+//! surfaces in `--timings` as a `kernel=` tag so recorded timings carry
+//! their dispatch context. Each kernel keeps its AVX2 twin only on
+//! measured evidence, recorded in its doc comment.
 //!
 //! # Why the lane compares need no empty-way masking
 //!
@@ -40,9 +28,9 @@
 //! address space (at most ~34 bits), so a sentinel can never compare
 //! equal to a probe tag: the 4×u64 `_mm256_cmpeq_epi64` sweep over a set
 //! window is alias-free without masking out empty ways. Likewise IJ's
-//! packed p-bit bitmap and the L2 hot-record array are plain dense
-//! arrays indexed by masked address bits, so gathers stay in bounds by
-//! construction (asserted in the safe wrappers below).
+//! packed p-bit bitmap is a plain dense array indexed by masked address
+//! bits, so gathers stay in bounds by construction (asserted in the
+//! safe wrappers below).
 //!
 //! # Safety structure
 //!
@@ -69,11 +57,7 @@
 mod avx2;
 mod scalar;
 
-use std::sync::OnceLock;
-
 use crate::filter::FilterEvent;
-
-pub use scalar::{L2_BLOCK_PRESENT, L2_META_VALID_MASK, L2_SUB_VALID};
 
 /// Capability token naming a kernel implementation.
 ///
@@ -81,7 +65,7 @@ pub use scalar::{L2_BLOCK_PRESENT, L2_META_VALID_MASK, L2_SUB_VALID};
 /// conjured from thin air: [`SimdLevel::SCALAR`] is always available,
 /// while an AVX2 level exists only via [`SimdLevel::avx2`] (runtime
 /// detection). Every kernel entry point takes an explicit level, so
-/// differential tests and benches can force either path.
+/// differential tests and benches can run either path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimdLevel(Level);
 
@@ -113,7 +97,7 @@ impl SimdLevel {
     }
 
     /// Stable lowercase name (`"scalar"` / `"avx2"`) used by the
-    /// `[simd]` log line and the `--timings` `kernel=` tag.
+    /// `--timings` `kernel=` tag.
     pub fn name(self) -> &'static str {
         match self.0 {
             Level::Scalar => "scalar",
@@ -122,111 +106,11 @@ impl SimdLevel {
     }
 }
 
-/// Kernel family named by [`resolve_simd`] — the pure decision, *before*
-/// the capability check that [`active_level`] performs. Kept separate
-/// from [`SimdLevel`] so the precedence rules are unit-testable with a
-/// pretend `avx2_available` without ever minting a capability token the
-/// host cannot honour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Portable scalar kernels.
-    Scalar,
-    /// AVX2 kernels.
-    Avx2,
-}
-
-/// Outcome of the `JETTY_SIMD` resolution (pure; mirrors the
-/// `JETTY_THREADS` decision struct in the experiment engine).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SimdDecision {
-    /// The kernel family to use.
-    pub choice: KernelChoice,
-    /// The `JETTY_SIMD` value, when present but not one of
-    /// `auto`/`avx2`/`scalar` (warned about, then treated as `auto`).
-    pub invalid_env: Option<String>,
-    /// `true` when `JETTY_SIMD=avx2` was requested but the host lacks
-    /// AVX2 (warned about, then scalar).
-    pub forced_unavailable: bool,
-    /// `true` when a valid `JETTY_SIMD` value decided the outcome
-    /// (including an explicit `auto`).
-    pub from_env: bool,
-}
-
-/// Precedence: a valid `JETTY_SIMD` wins (`avx2` downgrading with a
-/// warning when unavailable); otherwise auto-detection.
-pub fn resolve_simd(env: Option<&str>, avx2_available: bool) -> SimdDecision {
-    let auto = if avx2_available { KernelChoice::Avx2 } else { KernelChoice::Scalar };
-    let mut invalid_env = None;
-    if let Some(v) = env {
-        match v.trim() {
-            "scalar" => {
-                return SimdDecision {
-                    choice: KernelChoice::Scalar,
-                    invalid_env: None,
-                    forced_unavailable: false,
-                    from_env: true,
-                }
-            }
-            "avx2" => {
-                return SimdDecision {
-                    choice: auto,
-                    invalid_env: None,
-                    forced_unavailable: !avx2_available,
-                    from_env: true,
-                }
-            }
-            "auto" => {
-                return SimdDecision {
-                    choice: auto,
-                    invalid_env: None,
-                    forced_unavailable: false,
-                    from_env: true,
-                }
-            }
-            other => invalid_env = Some(other.to_string()),
-        }
-    }
-    SimdDecision { choice: auto, invalid_env, forced_unavailable: false, from_env: false }
-}
-
-/// The process-wide kernel level: `JETTY_SIMD` resolved against runtime
-/// detection on first use, then cached. Logs the decision (and any
-/// warnings) to stderr exactly once so every run records which kernels
-/// produced its numbers.
+/// The level every run uses: AVX2 when this host supports it, scalar
+/// otherwise. `std` caches the feature detection, so a call is one
+/// atomic load.
 pub fn active_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        let env = std::env::var("JETTY_SIMD").ok();
-        let available = SimdLevel::avx2().is_some();
-        let decision = resolve_simd(env.as_deref(), available);
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_SIMD={v:?} (want auto, avx2, or scalar); \
-                 auto-detecting kernels"
-            );
-        }
-        if decision.forced_unavailable {
-            eprintln!(
-                "warning: JETTY_SIMD=avx2 requested but this host lacks AVX2; \
-                 using scalar kernels"
-            );
-        }
-        let level = match decision.choice {
-            KernelChoice::Scalar => SimdLevel::SCALAR,
-            // Re-checked against detection rather than trusted: the
-            // choice is pure data, the token is a capability.
-            KernelChoice::Avx2 => SimdLevel::avx2().unwrap_or(SimdLevel::SCALAR),
-        };
-        let source = if decision.from_env {
-            "JETTY_SIMD override"
-        } else if available {
-            "auto-detected"
-        } else {
-            "auto: no avx2"
-        };
-        eprintln!("[simd] kernel dispatch: {} ({source})", level.name());
-        level
-    })
+    SimdLevel::avx2().unwrap_or(SimdLevel::SCALAR)
 }
 
 /// Address-split geometry of an Exclude-Jetty, precomputed so the
@@ -322,40 +206,6 @@ macro_rules! dispatch {
     };
 }
 
-/// Lowest way index in an EJ set window whose key matches `tag`
-/// (`key >> 1 == tag`; the all-ones empty key never aliases a real
-/// tag). `keys` is one set's contiguous key window.
-///
-/// Dispatch is per-kernel: the *standalone* find always runs the scalar
-/// loop regardless of `level` — set windows are 2–4 ways, so the AVX2
-/// lane setup dominates and the vector path measures ~4x slower
-/// (BENCH schema 9: 534 vs 1965 Melem/s). The lane find stays
-/// profitable only where it is inlined inside the AVX2 replay loops,
-/// which keep it. Use [`find_key_with`] to force an implementation.
-pub fn find_key(_level: SimdLevel, keys: &[u64], tag: u64) -> Option<usize> {
-    scalar::find_key_ej(keys, tag)
-}
-
-/// [`find_key`] with the per-kernel override bypassed: runs exactly the
-/// implementation `level` names, for differential tests and benches
-/// that pin the scalar and AVX2 finds against each other.
-pub fn find_key_with(level: SimdLevel, keys: &[u64], tag: u64) -> Option<usize> {
-    dispatch!(level, find_key_ej(keys, tag))
-}
-
-/// Lowest way index in a VEJ set window whose tag equals `tag` (the
-/// all-ones empty tag never aliases a real chunk tag). Always the
-/// scalar loop, like [`find_key`] (same per-kernel rationale).
-pub fn find_tag(_level: SimdLevel, tags: &[u64], tag: u64) -> Option<usize> {
-    scalar::find_key_vej(tags, tag)
-}
-
-/// [`find_tag`] with the per-kernel override bypassed; see
-/// [`find_key_with`].
-pub fn find_tag_with(level: SimdLevel, tags: &[u64], tag: u64) -> Option<usize> {
-    dispatch!(level, find_key_vej(tags, tag))
-}
-
 /// Replays one [`FilterEvent`] chunk against an Exclude-Jetty's flat
 /// `keys`/`stamps` arrays, splitting each unit address with `geom` as
 /// it goes. Snoops: find (kernel scan), LRU stamp on hit,
@@ -370,6 +220,13 @@ pub fn find_tag_with(level: SimdLevel, tags: &[u64], tag: u64) -> Option<usize> 
 /// IJ-filtered snoop is treated as already filtered: it cannot record,
 /// and it counts toward [`ReplayOut::union_filtered`] and the
 /// unsafe-filter check.
+///
+/// Why the AVX2 twin stays: in six interleaved traced `perfbench`
+/// paper-all pairs (scale 0.1, 2-vCPU x86_64 VM), standalone EJ replay
+/// (`core.replay_ej_s`) ran +6.8% slower on the scalar kernels
+/// (median; AVX2 faster in 5 of 6 pairs), against ±5% noise on the
+/// kernel-free gen and substrate layers. `BENCH_baseline.json` records
+/// 105 vs 192 Melem/s for `kernels/ej_replay_*`.
 ///
 /// # Panics
 ///
@@ -404,6 +261,12 @@ pub fn ej_replay(
 /// flat `tags`/`vectors`/`stamps` arrays (the [`ej_replay`] logic with
 /// a present-vector lane test in place of the present bit; `geom`
 /// additionally peels the lane off the block address).
+///
+/// Why the AVX2 twin stays: in six interleaved traced `perfbench`
+/// paper-all pairs (scale 0.1, 2-vCPU x86_64 VM), standalone VEJ replay
+/// (`core.replay_vej_s`) ran +10.6% slower on the scalar kernels
+/// (median; AVX2 faster in 6 of 6 pairs), against ±5% noise on the
+/// kernel-free gen and substrate layers.
 ///
 /// # Panics
 ///
@@ -447,6 +310,12 @@ pub fn vej_replay(
 /// it parallel to `events` for the hybrid's EJ/VEJ pass; standalone
 /// callers pass `None` and the kernels skip verdict recording entirely
 /// (the counters and `unsafe_at` carry everything a lone IJ needs).
+///
+/// Why the AVX2 twin stays: in six interleaved traced `perfbench`
+/// paper-all pairs (scale 0.1, 2-vCPU x86_64 VM), standalone IJ replay
+/// (`core.replay_ij_s`) ran +9.3% slower on the scalar kernels
+/// (median; AVX2 faster in 6 of 6 pairs), against ±5% noise on the
+/// kernel-free gen and substrate layers.
 ///
 /// # Panics
 ///
@@ -492,6 +361,14 @@ pub fn ij_replay(
 /// the unit; its entry `idx` lives at packed bit `(i << index_bits) |
 /// idx` of `pbits`.
 ///
+/// Why the AVX2 twin stays: its only run-path caller is the hybrid's
+/// eager-allocation replay, whose time is inside `core.replay_hj_s`
+/// (every hybrid, backup ones included), so no traced layer isolates
+/// it. That family ran +16.5% slower on the scalar kernels (median of
+/// six interleaved traced `perfbench` paper-all pairs, scale 0.1,
+/// 2-vCPU x86_64 VM; AVX2 faster in 5 of 6), and `BENCH_baseline.json`
+/// records 131 vs 457 Melem/s for `kernels/pbit_test_many_*`.
+///
 /// # Panics
 ///
 /// Panics unless `sub_arrays >= 1`, `index_bits < 32`, and `pbits`
@@ -515,79 +392,11 @@ pub fn pbit_test_many(
     dispatch!(level, pbit_test_many(pbits, units, index_bits, sub_arrays, skip, absent))
 }
 
-/// Batch L2 snoop probe over the compacted hot array (one `u128` record
-/// per set: tag in the low 64 bits, valid mask + packed state nibbles
-/// in the high 64), appending one flag byte per unit to `out`
-/// ([`L2_BLOCK_PRESENT`] / [`L2_SUB_VALID`]). One 16-byte record load
-/// answers both snoop questions, so a probe touches a single cache
-/// line instead of two separate arrays.
-///
-/// # Panics
-///
-/// Panics unless `sub_bits <= 3` (the valid mask is the low 8 bits of
-/// the record's meta half), `index_bits < 48`, and `hot` holds
-/// `1 << index_bits` records — the bounds that keep the AVX2 gathers
-/// in range.
-pub fn snoop_probe_many(
-    level: SimdLevel,
-    hot: &[u128],
-    units: &[u64],
-    sub_bits: u32,
-    index_bits: u32,
-    out: &mut Vec<u8>,
-) {
-    assert!(sub_bits <= 3, "valid mask is eight bits of the hot record's meta half");
-    assert!(index_bits < 48, "L2 index width out of range");
-    assert!(hot.len() >= 1usize << index_bits, "L2 hot array smaller than the index space");
-    dispatch!(level, l2_probe_many(hot, units, sub_bits, index_bits, out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_override_takes_precedence() {
-        for avail in [false, true] {
-            let d = resolve_simd(Some("scalar"), avail);
-            assert_eq!(d.choice, KernelChoice::Scalar, "avail={avail}");
-            assert!(d.from_env && d.invalid_env.is_none() && !d.forced_unavailable);
-        }
-        let d = resolve_simd(Some("avx2"), true);
-        assert_eq!(d.choice, KernelChoice::Avx2);
-        assert!(d.from_env && !d.forced_unavailable);
-        // Values are trimmed like JETTY_THREADS.
-        assert_eq!(resolve_simd(Some(" scalar "), true).choice, KernelChoice::Scalar);
-    }
-
-    #[test]
-    fn forcing_avx2_without_hardware_downgrades_with_a_flag() {
-        let d = resolve_simd(Some("avx2"), false);
-        assert_eq!(d.choice, KernelChoice::Scalar);
-        assert!(d.forced_unavailable, "the downgrade must be loud");
-        assert!(d.invalid_env.is_none());
-    }
-
-    #[test]
-    fn auto_and_unset_follow_detection() {
-        for env in [None, Some("auto")] {
-            assert_eq!(resolve_simd(env, true).choice, KernelChoice::Avx2, "env={env:?}");
-            assert_eq!(resolve_simd(env, false).choice, KernelChoice::Scalar, "env={env:?}");
-            assert!(!resolve_simd(env, true).forced_unavailable);
-        }
-        assert!(resolve_simd(Some("auto"), true).from_env);
-        assert!(!resolve_simd(None, true).from_env);
-    }
-
-    #[test]
-    fn invalid_values_warn_and_fall_back_to_auto() {
-        for bad in ["", "AVX2", "sse", "1"] {
-            let d = resolve_simd(Some(bad), true);
-            assert_eq!(d.choice, KernelChoice::Avx2, "JETTY_SIMD={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad.trim()));
-            assert!(!d.from_env);
-        }
-    }
+    use crate::filter::MissScope;
+    use crate::UnitAddr;
 
     #[test]
     fn level_tokens_report_their_names() {
@@ -597,7 +406,46 @@ mod tests {
             assert_eq!(l.name(), "avx2");
             assert!(l.is_avx2());
         }
-        assert!(["scalar", "avx2"].contains(&active_level().name()));
+    }
+
+    /// Auto-detection is the only dispatch path: the run level is
+    /// exactly what the host supports.
+    #[test]
+    fn auto_and_unset_follow_detection() {
+        assert_eq!(active_level(), SimdLevel::avx2().unwrap_or(SimdLevel::SCALAR));
+        assert_eq!(active_level().is_avx2(), SimdLevel::avx2().is_some());
+    }
+
+    /// A valid event log over 64 units (two units per block):
+    /// deallocates only hit cached units, `would_hit` is exactly
+    /// "cached", and block scope means no unit of the block is cached.
+    fn smoke_events() -> Vec<FilterEvent> {
+        let mut cached = [false; 64];
+        let mut events = Vec::new();
+        for i in 0..400u64 {
+            let u = (i * 37 % 64) as usize;
+            let unit = UnitAddr::new(u as u64);
+            match i % 7 {
+                0 if !cached[u] => {
+                    cached[u] = true;
+                    events.push(FilterEvent::Allocate(unit));
+                }
+                1 if cached[u] => {
+                    cached[u] = false;
+                    events.push(FilterEvent::Deallocate(unit));
+                }
+                _ => {
+                    let block = u & !1;
+                    let scope = if cached[block] || cached[block + 1] {
+                        MissScope::Unit
+                    } else {
+                        MissScope::Block
+                    };
+                    events.push(FilterEvent::Snoop { unit, would_hit: cached[u], scope });
+                }
+            }
+        }
+        events
     }
 
     /// Every kernel pair, smoke-compared on both levels when the host
@@ -609,58 +457,42 @@ mod tests {
             eprintln!("note: AVX2 unavailable; kernel smoke comparison skipped");
             return;
         };
-        // find over a sentinel-padded window, all widths 1..=9.
-        for ways in 1..=9usize {
-            let mut keys = vec![u64::MAX; ways];
-            if ways > 1 {
-                keys[ways / 2] = 77u64 << 1 | 1;
-            }
-            keys[ways - 1] = 42u64 << 1;
-            for tag in [0u64, 42, 77, u64::MAX >> 1] {
-                assert_eq!(
-                    find_key_with(SimdLevel::SCALAR, &keys, tag),
-                    find_key_with(avx2, &keys, tag),
-                    "ways={ways} tag={tag}"
-                );
-                assert_eq!(
-                    find_tag_with(SimdLevel::SCALAR, &keys, tag),
-                    find_tag_with(avx2, &keys, tag),
-                    "ways={ways} tag={tag}"
-                );
-                // The public entries ignore the level (per-kernel
-                // dispatch: standalone find is always scalar).
-                assert_eq!(
-                    find_key(avx2, &keys, tag),
-                    find_key_with(SimdLevel::SCALAR, &keys, tag),
-                );
-                assert_eq!(
-                    find_tag(avx2, &keys, tag),
-                    find_tag_with(SimdLevel::SCALAR, &keys, tag),
-                );
-            }
-        }
-        // p-bit batch over a mixed bitmap, including a non-multiple-of-4
-        // tail.
-        let pbits: Vec<u64> = (0..8).map(|i| 0x5555_5555_5555_5555u64.rotate_left(i)).collect();
+        let events = smoke_events();
+
+        // EJ-8x4 and VEJ-4x2-4: a 4-lane window and a sub-4 tail.
+        let ej = EjGeom { block_shift: 1, set_mask: 7, set_bits: 3 };
+        let vej = VejGeom { block_shift: 1, lane_mask: 3, lane_bits: 2, set_mask: 3, set_bits: 2 };
+        let runs = [SimdLevel::SCALAR, avx2].map(|level| {
+            let (mut keys, mut stamps) = (vec![u64::MAX; 32], vec![0; 32]);
+            let e = ej_replay(level, &mut keys, &mut stamps, 4, 0, ej, &events, &[]);
+            let (mut tags, mut vectors, mut vstamps) = (vec![u64::MAX; 8], vec![0; 8], vec![0; 8]);
+            let v =
+                vej_replay(level, &mut tags, &mut vectors, &mut vstamps, 2, 0, vej, &events, &[]);
+            (e, keys, stamps, v, tags, vectors, vstamps)
+        });
+        assert_eq!(runs[0], runs[1], "EJ/VEJ replay diverged");
+
+        // IJ-3x4x2 with verdicts, then a p-bit batch over its bitmap
+        // (13 units: a non-multiple-of-4 tail).
         let units: Vec<u64> = (0..13).map(|i| i * 0x9E37_79B9u64).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        pbit_test_many(SimdLevel::SCALAR, &pbits, &units, 7, 4, 11, &mut a);
-        pbit_test_many(avx2, &pbits, &units, 7, 4, 11, &mut b);
-        assert_eq!(a, b);
-        // L2 probe over a small populated cache image: tag in the low
-        // record half, valid mask in the low meta bits of the high half.
-        let sets = 1usize << 5;
-        let hot: Vec<u128> = (0..sets as u64)
-            .map(|i| {
-                let tag = i * 3 % 7;
-                let mask = if i % 3 == 0 { 0 } else { i & L2_META_VALID_MASK };
-                tag as u128 | ((mask as u128) << 64)
-            })
-            .collect();
-        let units: Vec<u64> = (0..23).map(|i| i * 0x0123_4567u64 % (1 << 12)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        snoop_probe_many(SimdLevel::SCALAR, &hot, &units, 1, 5, &mut a);
-        snoop_probe_many(avx2, &hot, &units, 1, 5, &mut b);
-        assert_eq!(a, b);
+        let runs = [SimdLevel::SCALAR, avx2].map(|level| {
+            let (mut counts, mut pbits) = (vec![0u16; 32], vec![0u64; 1]);
+            let (mut verdicts, mut writes) = (Vec::new(), vec![0u64; 4]);
+            let out = ij_replay(
+                level,
+                &mut counts,
+                &mut pbits,
+                3,
+                4,
+                2,
+                &events,
+                Some(&mut verdicts),
+                &mut writes,
+            );
+            let mut absent = Vec::new();
+            pbit_test_many(level, &pbits, &units, 3, 4, 2, &mut absent);
+            (out, counts, pbits, verdicts, writes, absent)
+        });
+        assert_eq!(runs[0], runs[1], "IJ replay or p-bit batch diverged");
     }
 }

@@ -3,11 +3,11 @@
 //! These are the *reference semantics*: the AVX2 implementations in
 //! [`super::avx2`] must be observation-identical to these loops on every
 //! input (pinned by `tests/simd_equivalence.rs`), and they are what the
-//! dispatcher runs when AVX2 is absent or `JETTY_SIMD=scalar` forces them.
-//! Each is written exactly like the loop it replaced in the filter or L2
-//! code, so forcing scalar dispatch reproduces the pre-kernel binary's
-//! behaviour instruction-for-instruction where it matters (order of
-//! comparisons, lowest-index match selection, early exits).
+//! dispatcher runs on hosts without AVX2. Each is written exactly like
+//! the loop it replaced in the filter code, so scalar dispatch
+//! reproduces the pre-kernel binary's behaviour instruction-for-instruction
+//! where it matters (order of comparisons, lowest-index match selection,
+//! early exits).
 
 use super::{EjGeom, IjReplayOut, ReplayOut, VejGeom};
 use crate::filter::{FilterEvent, MissScope};
@@ -18,7 +18,7 @@ use crate::filter::{FilterEvent, MissScope};
 /// The branchless reverse scan keeps the lowest-index match, exactly like
 /// the historical `ExcludeJetty::find` loop.
 #[inline]
-pub(super) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
+fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &k) in keys.iter().enumerate().rev() {
         if k >> 1 == tag {
@@ -31,7 +31,7 @@ pub(super) fn find_key_ej(keys: &[u64], tag: u64) -> Option<usize> {
 /// Lowest way index in `tags` equal to `tag` (Vector-Exclude-Jetty find;
 /// the all-ones empty tag can never match a real chunk tag).
 #[inline]
-pub(super) fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
+fn find_key_vej(tags: &[u64], tag: u64) -> Option<usize> {
     let mut found = usize::MAX;
     for (way, &t) in tags.iter().enumerate().rev() {
         if t == tag {
@@ -408,51 +408,5 @@ pub(super) fn pbit_test_many(
 ) {
     for &u in units {
         absent.push(pbit_absent(pbits, u, index_bits, sub_arrays, skip));
-    }
-}
-
-/// Flag byte for one L2 snoop probe: bit 0 = the resident block's tag
-/// matches and at least one subblock is valid (`block_present`), bit 1 =
-/// the snooped subblock itself is valid (implies bit 0).
-pub const L2_BLOCK_PRESENT: u8 = 1;
-/// See [`L2_BLOCK_PRESENT`]: the snooped subblock is valid.
-pub const L2_SUB_VALID: u8 = 2;
-
-/// Low 8 bits of an L2 hot record's meta half: the packed valid bitmask
-/// (bit `sub` ⇔ subblock `sub` valid).
-pub const L2_META_VALID_MASK: u64 = 0xFF;
-
-/// One scalar L2 snoop probe over the compacted hot array — one 16-byte
-/// record load (tag in the low half, valid mask + packed states in the
-/// high half) instead of two separate array reads.
-#[inline]
-pub(super) fn l2_probe(hot: &[u128], unit: u64, sub_bits: u32, index_bits: u32) -> u8 {
-    let sub = unit & ((1u64 << sub_bits) - 1);
-    let block_addr = unit >> sub_bits;
-    let idx = (block_addr & ((1u64 << index_bits) - 1)) as usize;
-    let tag = block_addr >> index_bits;
-    let rec = hot[idx];
-    let mask = ((rec >> 64) as u64) & L2_META_VALID_MASK;
-    let block_present = mask != 0 && rec as u64 == tag;
-    let mut flags = 0u8;
-    if block_present {
-        flags |= L2_BLOCK_PRESENT;
-        if mask & (1u64 << sub) != 0 {
-            flags |= L2_SUB_VALID;
-        }
-    }
-    flags
-}
-
-/// Batch twin of [`l2_probe`] over a run of snoop unit addresses.
-pub(super) fn l2_probe_many(
-    hot: &[u128],
-    units: &[u64],
-    sub_bits: u32,
-    index_bits: u32,
-    out: &mut Vec<u8>,
-) {
-    for &u in units {
-        out.push(l2_probe(hot, u, sub_bits, index_bits));
     }
 }

@@ -351,18 +351,13 @@ impl AnyFilter {
     /// per-snoop calls. The variant match is hoisted *outside* the event
     /// loop: one filter's arrays stay cache-resident across thousands of
     /// events instead of a whole bank thrashing per snoop, which is the
-    /// point of batching. `node` only labels the filter-safety panic.
+    /// point of batching. `level` picks the replay kernels (the run passes
+    /// [`kernels::active_level`](crate::kernels::active_level);
+    /// differential tests pass both); the null filter has no kernel path
+    /// (its replay is a counter bump). `node` only labels the
+    /// filter-safety panic.
     #[inline]
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(crate::kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](AnyFilter::apply_batch) with an explicit kernel
-    /// level, for differential tests that pin the scalar and AVX2 replay
-    /// kernels against each other on the same event stream. The null
-    /// filter has no kernel path (its replay is a counter bump).
-    #[inline]
-    pub fn apply_batch_with(
+    pub fn apply_batch(
         &mut self,
         level: crate::kernels::SimdLevel,
         events: &[crate::FilterEvent],
@@ -370,10 +365,10 @@ impl AnyFilter {
     ) {
         match self {
             AnyFilter::Null(inner) => inner.apply_batch(events),
-            AnyFilter::Exclude(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::VectorExclude(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::Include(inner) => inner.apply_batch_with(level, events, node),
-            AnyFilter::Hybrid(inner) => inner.apply_batch_with(level, events, node),
+            AnyFilter::Exclude(inner) => inner.apply_batch(level, events, node),
+            AnyFilter::VectorExclude(inner) => inner.apply_batch(level, events, node),
+            AnyFilter::Include(inner) => inner.apply_batch(level, events, node),
+            AnyFilter::Hybrid(inner) => inner.apply_batch(level, events, node),
         }
     }
 }

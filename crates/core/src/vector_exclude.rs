@@ -214,23 +214,10 @@ impl VectorExcludeJetty {
     /// [`ExcludeJetty::apply_batch`](crate::ExcludeJetty::apply_batch)),
     /// with counters accumulated in registers and the tag/vector/stamp
     /// arrays cache-resident across the batch. `node` only labels the
-    /// safety panic.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent], node: usize) {
-        self.apply_batch_with(kernels::active_level(), events, node);
-    }
-
-    /// [`apply_batch`](VectorExcludeJetty::apply_batch) with an explicit
-    /// kernel level — the differential-test entry point. The event chunk
-    /// goes to a single [`kernels::vej_replay`] call as-is (no gather
-    /// pass; the kernel splits each address with this filter's
-    /// [`VejGeom`]); see
-    /// [`ExcludeJetty::apply_batch_with`](crate::ExcludeJetty::apply_batch_with).
-    pub fn apply_batch_with(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
+    /// safety panic. The event chunk goes to a single
+    /// [`kernels::vej_replay`] call as-is (no gather pass; the kernel
+    /// splits each address with this filter's [`VejGeom`]).
+    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
         let out = self.replay_events(level, events, &[]);
         if let Some(bad) = out.unsafe_at {
             let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
@@ -284,25 +271,6 @@ impl VectorExcludeJetty {
         self.activity.filtered += out.filtered;
         self.activity.arrays[0].writes += out.writes;
         out
-    }
-
-    /// [`probe`](SnoopFilter::probe) with an explicit kernel level for the
-    /// way scan — used by the hybrid's batched replay. Observably
-    /// identical to `probe` at every level.
-    pub fn probe_with(&mut self, level: SimdLevel, addr: UnitAddr) -> Verdict {
-        self.activity.probes += 1;
-        let (set, tag, lane) = self.split(addr);
-        let base = set * self.config.ways;
-        if let Some(way) = kernels::find_tag(level, &self.tags[base..base + self.config.ways], tag)
-        {
-            let slot = base + way;
-            self.stamps[slot] = self.tick();
-            if self.vectors[slot] & (1u64 << lane) != 0 {
-                self.activity.filtered += 1;
-                return Verdict::NotCached;
-            }
-        }
-        Verdict::MaybeCached
     }
 }
 

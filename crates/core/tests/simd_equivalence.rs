@@ -6,6 +6,8 @@
 //! against the eager path, this one pins the two kernel implementations
 //! against each other with proptest-generated event logs.
 //!
+//! This is the only scalar-vs-AVX2 replay comparison an AVX2 host runs:
+//! every other test and golden check exercises the detected level only.
 //! On hosts without AVX2 every case degenerates to scalar-vs-scalar and
 //! the suite prints a skip note (the scalar path is still the one the
 //! host would run, so there is nothing else to compare).
@@ -25,12 +27,16 @@ type Action = (u8, u64);
 /// allocated", and a snoop miss gets `MissScope::Block` only when no
 /// unit of its block is cached — the same invariants the simulator's
 /// event logs satisfy, so the filter-safety assertion must never fire.
-fn build_events(actions: &[Action], space: AddrSpace, units: u64) -> Vec<FilterEvent> {
+fn build_events(
+    actions: &[Action],
+    space: AddrSpace,
+    unit_of: impl Fn(u64) -> u64,
+) -> Vec<FilterEvent> {
     let shift = space.block_unit_shift();
     let mut allocated: BTreeSet<u64> = BTreeSet::new();
     let mut events = Vec::with_capacity(actions.len());
     for &(kind, seed) in actions {
-        let unit = seed % units;
+        let unit = unit_of(seed);
         match kind % 8 {
             // Allocate (skip if already cached: the substrate only fills
             // on misses).
@@ -63,23 +69,34 @@ fn build_events(actions: &[Action], space: AddrSpace, units: u64) -> Vec<FilterE
     events
 }
 
+/// [`assert_replays_agree`] over the events `actions` build on units
+/// `0..units`, sweeping the whole range afterwards.
+fn assert_levels_agree(spec: &FilterSpec, actions: &[Action], chunk_len: usize, units: u64) {
+    let events = build_events(actions, AddrSpace::default(), |seed| seed % units);
+    assert_replays_agree(spec, &events, chunk_len, 0..units);
+}
+
 /// Replays `events` through two fresh instances of `spec` — one per
 /// kernel level — in `chunk_len`-sized batches, then asserts the
 /// observables agree: accumulated activity (probes, filtered, per-array
-/// reads/writes) and the verdict of a probe sweep over the whole unit
-/// range (which observes the EJ/VEJ/IJ state the replay left behind).
-fn assert_levels_agree(spec: &FilterSpec, actions: &[Action], chunk_len: usize, units: u64) {
+/// reads/writes) and the verdict of a probe sweep over `sweep` (which
+/// observes the EJ/VEJ/IJ state the replay left behind).
+fn assert_replays_agree(
+    spec: &FilterSpec,
+    events: &[FilterEvent],
+    chunk_len: usize,
+    sweep: impl IntoIterator<Item = u64>,
+) {
     let Some(avx2) = SimdLevel::avx2() else {
         eprintln!("note: AVX2 unavailable; SIMD equivalence degenerates to scalar-vs-scalar");
         return;
     };
     let space = AddrSpace::default();
-    let events = build_events(actions, space, units);
     let mut scalar = spec.build_any(space);
     let mut vector = spec.build_any(space);
     for chunk in events.chunks(chunk_len.max(1)) {
-        scalar.apply_batch_with(SimdLevel::SCALAR, chunk, 0);
-        vector.apply_batch_with(avx2, chunk, 0);
+        scalar.apply_batch(SimdLevel::SCALAR, chunk, 0);
+        vector.apply_batch(avx2, chunk, 0);
     }
     assert_eq!(
         scalar.activity(),
@@ -87,7 +104,7 @@ fn assert_levels_agree(spec: &FilterSpec, actions: &[Action], chunk_len: usize, 
         "{}: replay activity diverged between kernels",
         spec.label()
     );
-    for unit in 0..units {
+    for unit in sweep {
         assert_eq!(
             scalar.probe(UnitAddr::new(unit)),
             vector.probe(UnitAddr::new(unit)),
@@ -149,6 +166,47 @@ proptest! {
             FilterSpec::include(6, 5, 6),
         ] {
             assert_levels_agree(&spec, &actions, chunk_len, 4096);
+        }
+    }
+}
+
+/// Spreads a seed over 16 regions 2^28 units apart, so every IJ
+/// sub-array's index bits vary, with 1Ki units per region, so snoops
+/// still revisit recorded blocks.
+fn wide_unit(seed: u64) -> u64 {
+    (((seed >> 40) % 16) << 28) | (seed % 1024)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Chunk-sized replays: several thousand events over a wide unit range
+    /// in one `apply_batch` call, as a run's flush delivers them
+    /// (`System::CHUNK_LEN` is 64Ki references), so the kernels' long
+    /// snoop runs, LRU clocks and victim scans see production lengths.
+    /// The sweep probes every unit an event touched and its block
+    /// siblings.
+    #[test]
+    fn long_single_chunk_over_a_wide_range(
+        actions in prop::collection::vec((any::<u8>(), any::<u64>()), 2000..6000),
+    ) {
+        let space = AddrSpace::default();
+        let events = build_events(&actions, space, wide_unit);
+        let block_units = 1u64 << space.block_unit_shift();
+        let sweep: BTreeSet<u64> = events
+            .iter()
+            .map(|e| match *e {
+                FilterEvent::Snoop { unit, .. }
+                | FilterEvent::Allocate(unit)
+                | FilterEvent::Deallocate(unit) => unit.raw() & !(block_units - 1),
+            })
+            .flat_map(|base| base..base + block_units)
+            .collect();
+        let specs = FilterSpec::paper_bank()
+            .into_iter()
+            .chain([FilterSpec::hybrid_scalar_eager(10, 4, 7, 32, 4)]);
+        for spec in specs {
+            assert_replays_agree(&spec, &events, events.len(), sweep.iter().copied());
         }
     }
 }

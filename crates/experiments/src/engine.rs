@@ -191,8 +191,8 @@ pub struct SuiteTiming {
     pub sim: Duration,
     /// Name of the replay-kernel level the suite ran with
     /// (`"scalar"`/`"avx2"`, from [`jetty_core::kernels::active_level`]) —
-    /// surfaced as the `kernel=` tag in `--timings` so stored timings can
-    /// attribute drift to dispatch changes.
+    /// surfaced as the `kernel=` tag in `--timings` so timings from
+    /// different hosts can be told apart.
     pub kernel: &'static str,
     /// Effective intra-run shard count the suite's jobs replayed snoop
     /// work with (after the oversubscription cap against the worker

@@ -78,9 +78,7 @@ pub use engine::{Engine, EngineStats, SuiteCache, SuiteResult};
 pub use error::JettyError;
 pub use results::render::{Format, Renderer};
 pub use results::{Cell, ResultSet, TableData};
-pub use runner::{
-    average, run_app, run_app_gated, run_app_timed, run_suite, AppRun, AppTiming, RunOptions,
-};
+pub use runner::{average, run_app, run_app_gated, run_suite, AppRun, AppTiming, RunOptions};
 pub use store::diff::{diff_runs, DiffOptions, DiffReport};
 pub use store::{RunInfo, RunRecord, RunRef, RunStore};
 pub use sweep::{Axis, SweepGrid};

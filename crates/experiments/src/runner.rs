@@ -226,32 +226,27 @@ pub struct AppTiming {
 /// assertion pins the metadata-before-iteration invariant so a future
 /// reordering cannot silently double-generate or misreport.
 pub fn run_app(profile: &AppProfile, options: &RunOptions) -> AppRun {
-    run_app_timed(profile, options).0
+    run_app_gated(profile, options, 1, &RunGate::unbounded())
+        .unwrap_or_else(|e| panic!("unbounded fault-free run cannot fail: {e}"))
+        .0
 }
 
-/// [`run_app`], also returning the generation/simulation wall-clock split.
+/// [`run_app`] under a [`RunGate`] and the process fault plan, also
+/// returning the generation/simulation wall-clock split, with the run's
+/// snoop replay fanned out to `shards` slices of the node array (1 =
+/// serial; shards never change results, see [`System::set_shards`]).
 ///
 /// The trace is streamed: the generator refills one reusable
 /// [`System::CHUNK_LEN`]-reference buffer per iteration and the system
-/// consumes it via [`System::run_chunk`] (the batched snoop fan-out), so
-/// the whole trace is never materialised and the two stages can be timed
-/// separately at chunk granularity (two clock reads per ~8 K references —
-/// noise-level overhead).
-pub fn run_app_timed(profile: &AppProfile, options: &RunOptions) -> (AppRun, AppTiming) {
-    run_app_gated(profile, options, 1, &RunGate::unbounded())
-        .unwrap_or_else(|e| panic!("unbounded fault-free run cannot fail: {e}"))
-}
-
-/// [`run_app_timed`] under a [`RunGate`] and the process fault plan, with
-/// the run's snoop replay fanned out to `shards` slices of the node array
-/// (1 = serial; shards never change results, see
-/// [`System::set_shards`]). The gate (and any armed `slow-suite` fault)
-/// is applied at every chunk boundary and, through
-/// [`System::run_chunk_gated`], inside the per-node replay of each chunk
-/// — so a deadline expiry or cooperative cancellation stops the job
-/// within one chunk's worth of work. With an unbounded gate and no faults
-/// armed this *is* [`run_app_timed`]: one inert fault lookup per job and
-/// cheap gate checks per chunk.
+/// consumes it via [`System::run_chunk_gated`] (the batched snoop
+/// fan-out), so the whole trace is never materialised and the two
+/// stages can be timed separately at chunk granularity (two clock reads
+/// per 64Ki references — noise-level overhead). The gate (and any armed
+/// `slow-suite` fault) is applied at every chunk boundary and inside the
+/// per-node replay of each chunk — so a deadline expiry or cooperative
+/// cancellation stops the job within one chunk's worth of work. With an
+/// unbounded gate and no faults armed the cost is one inert fault lookup
+/// per job and cheap gate checks per chunk.
 pub fn run_app_gated(
     profile: &AppProfile,
     options: &RunOptions,

@@ -9,14 +9,6 @@ fn repro(args: &[&str]) -> Output {
         .expect("failed to spawn jetty-repro")
 }
 
-fn repro_with_simd(simd: &str, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_jetty-repro"))
-        .env("JETTY_SIMD", simd)
-        .args(args)
-        .output()
-        .expect("failed to spawn jetty-repro")
-}
-
 #[test]
 fn rejects_cpu_counts_below_two() {
     for cpus in ["0", "1"] {
@@ -125,26 +117,10 @@ fn timings_flag_reports_on_stderr_and_leaves_stdout_untouched() {
         stderr.contains("kernel=scalar") || stderr.contains("kernel=avx2"),
         "timing line lacks kernel tag: {stderr}"
     );
+    // Dispatch is a platform fact: nothing announces or overrides it.
+    assert!(!stderr.contains("[simd]"), "stray dispatch log line: {stderr}");
     // Without the flag, no timing lines appear.
     assert!(!String::from_utf8_lossy(&without.stderr).contains("[timing]"));
-}
-
-#[test]
-fn timings_kernel_tag_follows_jetty_simd() {
-    // Forcing scalar dispatch must be visible in the timing attribution
-    // (and announced by the one-shot [simd] log line), and stdout must
-    // stay byte-identical to the auto-dispatched run.
-    let args = ["table2", "--scale", "0.002", "--threads", "1", "--timings"];
-    let scalar = repro_with_simd("scalar", &args);
-    let auto = repro_with_simd("auto", &args);
-    assert!(scalar.status.success() && auto.status.success());
-    assert_eq!(scalar.stdout, auto.stdout, "kernel dispatch changed stdout");
-    let scalar_err = String::from_utf8_lossy(&scalar.stderr);
-    assert!(scalar_err.contains("kernel=scalar"), "{scalar_err}");
-    assert!(scalar_err.contains("[simd] kernel dispatch: scalar (JETTY_SIMD override)"));
-    let auto_err = String::from_utf8_lossy(&auto.stderr);
-    assert!(auto_err.contains("kernel=scalar") || auto_err.contains("kernel=avx2"), "{auto_err}");
-    assert!(auto_err.contains("[simd] kernel dispatch:"), "{auto_err}");
 }
 
 #[test]
@@ -382,7 +358,6 @@ fn garbage_env_overrides_warn_once_and_name_the_fallback() {
 
     for (var, value, fallback_hint) in [
         ("JETTY_THREADS", "banana", "worker thread(s)"),
-        ("JETTY_SIMD", "sse9", "auto-detecting kernels"),
         ("JETTY_DEADLINE_MS", "soon", "running without a job deadline"),
         ("JETTY_SHARDS", "many", "replaying snoop work in 1 shard(s)"),
     ] {

@@ -1,9 +1,9 @@
 //! The fault matrix: end-to-end proof that injected failures degrade the
 //! pipeline gracefully instead of tearing it down.
 //!
-//! Every test spawns the `jetty-repro` binary because `JETTY_FAULT` (like
-//! `JETTY_SIMD`) is resolved once per process — a fresh process per
-//! scenario keeps the injections independent. The spawned binary is the
+//! Every test spawns the `jetty-repro` binary because `JETTY_FAULT` is
+//! resolved once per process — a fresh process per scenario keeps the
+//! injections independent. The spawned binary is the
 //! test-profile build, which unwinds on panic, so worker-panic containment
 //! is observable here even though the release profile aborts.
 

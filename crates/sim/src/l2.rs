@@ -33,11 +33,14 @@
 //! NSB variant 1), and the nibble field encodes only *valid* states:
 //! `Invalid` is represented by a clear valid bit, never by a nibble.
 
-use jetty_core::kernels::{self, SimdLevel};
 use jetty_core::UnitAddr;
 
 use crate::config::L2Config;
 use crate::moesi::Moesi;
+
+/// Low 8 bits of a hot record's meta half: the packed valid bitmask
+/// (bit `sub` set ⇔ subblock `sub` valid).
+const L2_META_VALID_MASK: u64 = 0xFF;
 
 /// Packs a valid MOESI state into its 4-bit hot-record nibble.
 fn state_nibble(state: Moesi) -> u64 {
@@ -171,7 +174,7 @@ impl L2Cache {
     pub fn block_present(&self, unit: UnitAddr) -> bool {
         let (idx, tag, _) = self.split(unit);
         let rec = self.hot[idx];
-        ((rec >> 64) as u64) & kernels::L2_META_VALID_MASK != 0 && rec as u64 == tag
+        ((rec >> 64) as u64) & L2_META_VALID_MASK != 0 && rec as u64 == tag
     }
 
     /// One-shot snoop probe: `(state, block_present)` from a single
@@ -182,7 +185,7 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         let rec = self.hot[idx];
         let meta = (rec >> 64) as u64;
-        let mask = meta & kernels::L2_META_VALID_MASK;
+        let mask = meta & L2_META_VALID_MASK;
         let block_present = mask != 0 && rec as u64 == tag;
         let state = if block_present && mask & (1u64 << sub) != 0 {
             nibble_state(meta >> nibble_shift(sub))
@@ -190,23 +193,6 @@ impl L2Cache {
             Moesi::Invalid
         };
         (state, block_present)
-    }
-
-    /// Batched twin of [`L2Cache::snoop_probe`] for the read-only
-    /// questions: appends one flag byte per raw unit address to `out`
-    /// ([`kernels::L2_BLOCK_PRESENT`] / [`kernels::L2_SUB_VALID`]), with
-    /// the 16-byte hot records streaming instead of pointer-chasing per
-    /// event. The caller reads [`L2Cache::state`] only for units whose
-    /// subblock is valid.
-    pub fn snoop_probe_many(&self, units: &[u64], out: &mut Vec<u8>) {
-        self.snoop_probe_many_with(kernels::active_level(), units, out);
-    }
-
-    /// [`snoop_probe_many`](L2Cache::snoop_probe_many) with an explicit
-    /// kernel level, so differential tests can pin the scalar and AVX2
-    /// probe kernels against each other on the same cache image.
-    pub fn snoop_probe_many_with(&self, level: SimdLevel, units: &[u64], out: &mut Vec<u8>) {
-        kernels::snoop_probe_many(level, &self.hot, units, self.sub_bits, self.index_bits, out);
     }
 
     /// Data version of `unit`; 0 when absent.
@@ -296,8 +282,8 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         let meta = self.meta(idx);
         let victim_tag = self.tag(idx);
-        if meta & kernels::L2_META_VALID_MASK != 0 && victim_tag != tag {
-            let mut mask = meta & kernels::L2_META_VALID_MASK;
+        if meta & L2_META_VALID_MASK != 0 && victim_tag != tag {
+            let mut mask = meta & L2_META_VALID_MASK;
             while mask != 0 {
                 let s = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
@@ -344,7 +330,7 @@ impl L2Cache {
     pub fn population(&self) -> usize {
         self.hot
             .iter()
-            .map(|&rec| (((rec >> 64) as u64) & kernels::L2_META_VALID_MASK).count_ones() as usize)
+            .map(|&rec| (((rec >> 64) as u64) & L2_META_VALID_MASK).count_ones() as usize)
             .sum()
     }
 }
@@ -512,23 +498,6 @@ mod tests {
         let evicted = l2.fill(UnitAddr::new(4), Moesi::Shared, 2);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].unit, UnitAddr::new(0));
-    }
-
-    #[test]
-    fn snoop_probe_many_matches_per_unit_probes() {
-        let mut l2 = small();
-        l2.fill(UnitAddr::new(0), Moesi::Shared, 1);
-        l2.fill(UnitAddr::new(9), Moesi::Modified, 2);
-        let units: Vec<u64> = (0..32).collect();
-        let mut flags = Vec::new();
-        l2.snoop_probe_many(&units, &mut flags);
-        assert_eq!(flags.len(), units.len());
-        for (&u, &f) in units.iter().zip(&flags) {
-            let unit = UnitAddr::new(u);
-            let (state, block_present) = l2.snoop_probe(unit);
-            assert_eq!(f & kernels::L2_BLOCK_PRESENT != 0, block_present, "unit {u}");
-            assert_eq!(f & kernels::L2_SUB_VALID != 0, state.is_valid(), "unit {u}");
-        }
     }
 
     #[test]

@@ -104,23 +104,15 @@ impl System {
         }
     }
 
-    /// Verifies L1 ⊆ L2 inclusion exhaustively (tests; O(L1 size)). Each
-    /// node's whole L1 population goes through one batched
-    /// [`snoop_probe_many`](crate::l2::L2Cache::snoop_probe_many) sweep
-    /// instead of per-unit lookups.
+    /// Verifies L1 ⊆ L2 inclusion exhaustively (tests; O(L1 size)) with
+    /// the same per-unit check `check_invariants` runs for each touched
+    /// unit.
     pub fn verify_inclusion(&self) {
-        let mut units = Vec::new();
-        let mut flags = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
-            units.clear();
-            units.extend(node.l1.valid_units().map(|u| u.raw()));
-            flags.clear();
-            node.l2.snoop_probe_many(&units, &mut flags);
-            for (&u, &f) in units.iter().zip(&flags) {
+            for unit in node.l1.valid_units() {
                 assert!(
-                    f & jetty_core::kernels::L2_SUB_VALID != 0,
-                    "inclusion violated on node {i}: {} in L1 but not L2",
-                    UnitAddr::new(u)
+                    node.l2.state(unit).is_valid(),
+                    "inclusion violated on node {i}: {unit} in L1 but not L2"
                 );
             }
         }

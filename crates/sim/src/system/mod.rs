@@ -291,34 +291,6 @@ impl System {
         }
     }
 
-    /// [`System::run`] under a [`RunGate`]: the gate is consulted before
-    /// every chunk, so a deadline or cancellation stops the run within
-    /// one chunk's worth of work (`Err` carries the reason; counters
-    /// reflect exactly the chunks that completed). With an unbounded
-    /// gate this is [`System::run`] plus one free check per chunk.
-    ///
-    /// [`RunGate`]: crate::RunGate
-    pub fn run_gated<I: IntoIterator<Item = MemRef>>(
-        &mut self,
-        trace: I,
-        gate: &crate::RunGate,
-    ) -> Result<(), crate::GateStop> {
-        let mut buf = Vec::with_capacity(Self::CHUNK_LEN);
-        for r in trace {
-            buf.push(r);
-            if buf.len() == Self::CHUNK_LEN {
-                gate.check()?;
-                self.run_chunk_gated(&buf, gate)?;
-                buf.clear();
-            }
-        }
-        if !buf.is_empty() {
-            gate.check()?;
-            self.run_chunk_gated(&buf, gate)?;
-        }
-        Ok(())
-    }
-
     /// Runs one pregenerated chunk of references.
     ///
     /// The protocol path (L1/L2/writeback/bus reactions) is inherently
@@ -394,13 +366,14 @@ impl System {
             base: usize,
             gate: &crate::RunGate,
         ) -> Result<(), crate::GateStop> {
+            let level = jetty_core::kernels::active_level();
             for (off, node) in nodes.iter_mut().enumerate() {
                 gate.check()?;
                 if node.events.is_empty() {
                     continue;
                 }
                 for f in &mut node.filters {
-                    f.apply_batch(&node.events, base + off);
+                    f.apply_batch(level, &node.events, base + off);
                 }
                 node.events.clear();
             }

@@ -100,14 +100,10 @@ kn() {
     v=$(echo "$kernels_out" | grep "^kernels/$1 " | awk '{print $(NF-1)}')
     echo "${v:-null}"
 }
-find_key_scalar=$(kn find_key_scalar)
-find_key_avx2=$(kn find_key_avx2)
 ej_replay_scalar=$(kn ej_replay_scalar)
 ej_replay_avx2=$(kn ej_replay_avx2)
 pbit_scalar=$(kn pbit_test_many_scalar)
 pbit_avx2=$(kn pbit_test_many_avx2)
-l2_many_scalar=$(kn snoop_probe_many_scalar)
-l2_many_avx2=$(kn snoop_probe_many_avx2)
 
 # Intra-run sharding criterion throughputs (Melem/s of references): the
 # serial fast path against the scoped fan-out at 2 and 4 shards. On a
@@ -135,7 +131,7 @@ cat > BENCH_baseline.json <<EOF
   "threads": $THREADS,
   "metric": "wall-clock milliseconds after one untimed warm-up rep: best-of-reps (min) and median, with max-min spread, release build",
   "toolchain": "$(rustc --version)",
-  "simd": "$("$BIN" table2 --scale 0.02 --threads 1 2>&1 >/dev/null | grep -o 'kernel dispatch: [a-z2]*' | awk '{print $3}' || echo unknown)",
+  "simd": "$("$BIN" table2 --scale 0.02 --threads 1 --timings 2>&1 >/dev/null | grep -o 'kernel=[a-z0-9]*' | head -1 | cut -d= -f2 || echo unknown)",
   "benchmarks": {
     "repro_static_tables_ms": $static_ms,
     "repro_static_tables_median_ms": $static_median,
@@ -186,14 +182,10 @@ cat > BENCH_baseline.json <<EOF
     "trace_fill_chunk": $trace_chunk
   },
   "kernels_melems_per_s": {
-    "find_key_scalar": $find_key_scalar,
-    "find_key_avx2": $find_key_avx2,
     "ej_replay_scalar": $ej_replay_scalar,
     "ej_replay_avx2": $ej_replay_avx2,
     "pbit_test_many_scalar": $pbit_scalar,
-    "pbit_test_many_avx2": $pbit_avx2,
-    "snoop_probe_many_scalar": $l2_many_scalar,
-    "snoop_probe_many_avx2": $l2_many_avx2
+    "pbit_test_many_avx2": $pbit_avx2
   },
   "shard_merge_melems_per_s": {
     "replay_shards_1": $replay_shards_1,
