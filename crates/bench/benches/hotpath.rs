@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use jetty_core::{kernels, AddrSpace, FilterEvent, FilterSpec, MissScope, UnitAddr};
+use jetty_core::{kernels, AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, UnitAddr};
 use jetty_sim::{FastMap, L2Cache, L2Config, Moesi};
 use jetty_workloads::{apps, TraceGen};
 
@@ -193,10 +193,10 @@ fn batch_probe_benches(c: &mut Criterion) {
         ("batch_probe_hybrid", FilterSpec::hybrid_vector(10, 4, 7, 32, 4, 4)),
     ];
     for (name, spec) in cases {
-        let mut filter = spec.build_any(AddrSpace::default());
+        let mut bank = FilterBank::new(&[spec], AddrSpace::default());
         group.bench_function(name, |b| {
             b.iter(|| {
-                filter.apply_batch(kernels::active_level(), &events, 1);
+                bank.apply_batch(kernels::active_level(), &events, 1);
             })
         });
     }

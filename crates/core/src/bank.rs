@@ -1,0 +1,398 @@
+//! A node's filter bank: every configuration under evaluation, observing
+//! one node's snoop stream side by side.
+//!
+//! Filters are pure bystanders (paper methodology), so a bank of them
+//! yields coverage and activity for every configuration from one
+//! simulation. The bank also removes the one redundancy that leaves
+//! behind: an Include-Jetty's state is a pure function of the node's
+//! allocate/deallocate stream — snoops and `record_snoop_miss` never
+//! change it — so every standalone IJ and every backup-policy hybrid of
+//! one [`IncludeConfig`] would hold the *same* counters and p-bits. The
+//! bank keeps exactly one live IJ per distinct geometry, replays it once
+//! per chunk, and hands its per-event verdict slice to each backup
+//! hybrid's EJ/VEJ pass. The paper bank's 5 standalone IJs and 7 hybrids
+//! thereby replay 5 IJ states instead of 12.
+//!
+//! Per-filter activity is unchanged by the sharing: every IJ charge is
+//! derived from counts the shared state accumulates identically for each
+//! of its users (probes, allocates, deallocates, per-sub-array p-bit
+//! writes). The exception is the eager-allocation hybrid ablation, whose
+//! `guarantees_absent` reads charge *extra* p-bit reads to its IJ — it
+//! keeps a private IJ so those charges stay its own.
+//!
+//! Sharing is decided here, when the bank is built, and nowhere else:
+//! the batched flush ([`FilterBank::apply_batch`]), the per-event path
+//! ([`FilterBank::snoop`] and friends) and the consistency check
+//! ([`FilterBank::probe`]) all read the one live state, so no mode exists
+//! in which a copy could drift.
+
+use crate::addr::{AddrSpace, UnitAddr};
+use crate::exclude::ExcludeJetty;
+use crate::filter::{ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter, Verdict};
+use crate::hybrid::{EjAllocation, ExcludeSide, HybridJetty};
+use crate::include::{IncludeConfig, IncludeJetty};
+use crate::kernels::SimdLevel;
+use crate::null::NullFilter;
+use crate::spec::FilterSpec;
+use crate::vector_exclude::VectorExcludeJetty;
+
+/// One node's filters, built from a [`FilterSpec`] list, with one live
+/// Include-Jetty per distinct IJ geometry (see the module docs). Members
+/// are addressed by their index in the spec list.
+///
+/// # Examples
+///
+/// ```
+/// use jetty_core::{AddrSpace, FilterBank, FilterSpec, UnitAddr, Verdict};
+///
+/// let specs = [FilterSpec::include(8, 4, 7), FilterSpec::hybrid_scalar(8, 4, 7, 16, 2)];
+/// let mut bank = FilterBank::new(&specs, AddrSpace::default());
+/// assert_eq!(bank.len(), 2);
+///
+/// let unit = UnitAddr::new(0xBEEF);
+/// bank.on_allocate(unit);
+/// assert_eq!(bank.probe(unit), vec![Verdict::MaybeCached; 2]);
+/// assert_eq!(bank.activity(0).probes, 1);
+/// ```
+#[derive(Clone, Debug)]
+pub struct FilterBank {
+    includes: Vec<SharedInclude>,
+    members: Vec<Member>,
+}
+
+/// The one live IJ state of a geometry, with what its users read from the
+/// chunk or snoop in flight.
+#[derive(Clone, Debug)]
+struct SharedInclude {
+    ij: IncludeJetty,
+    /// Per-event verdicts of the chunk being flushed (`true` only for
+    /// IJ-filtered snoops); `Some` only when a backup hybrid reads them.
+    verdicts: Option<Vec<bool>>,
+    /// The chunk's first unsafe snoop, reported by a standalone IJ user.
+    unsafe_at: Option<usize>,
+    /// The verdict of the snoop in flight on the per-event path.
+    verdict: Verdict,
+}
+
+/// One bank member. IJ users hold an index into `FilterBank::includes`.
+// Members are stored by value (no per-probe pointer chase); banks are
+// small, so the size spread between variants is deliberate.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Debug)]
+enum Member {
+    Null(NullFilter),
+    Exclude(ExcludeJetty),
+    VectorExclude(VectorExcludeJetty),
+    /// A standalone IJ: the shared state itself.
+    Include(usize),
+    /// A backup-policy hybrid: its exclude side over the shared IJ.
+    Hybrid(usize, ExcludeSide),
+    /// An eager-allocation hybrid, with its private IJ.
+    Eager(HybridJetty),
+}
+
+impl FilterBank {
+    /// Builds one node's bank: one member per spec, in order, sharing one
+    /// IJ state among the standalone IJs and backup-policy hybrids of each
+    /// distinct [`IncludeConfig`].
+    pub fn new(specs: &[FilterSpec], space: AddrSpace) -> Self {
+        let mut includes: Vec<SharedInclude> = Vec::new();
+        let mut shared = |config: IncludeConfig, verdicts: bool| {
+            let k = match includes.iter().position(|s| s.ij.config() == config) {
+                Some(k) => k,
+                None => {
+                    includes.push(SharedInclude {
+                        ij: IncludeJetty::new(config, space),
+                        verdicts: None,
+                        unsafe_at: None,
+                        verdict: Verdict::MaybeCached,
+                    });
+                    includes.len() - 1
+                }
+            };
+            if verdicts {
+                includes[k].verdicts.get_or_insert_with(Vec::new);
+            }
+            k
+        };
+        let members = specs
+            .iter()
+            .map(|spec| match *spec {
+                FilterSpec::Null => Member::Null(NullFilter::new()),
+                FilterSpec::Exclude(c) => Member::Exclude(ExcludeJetty::new(c, space)),
+                FilterSpec::VectorExclude(c) => {
+                    Member::VectorExclude(VectorExcludeJetty::new(c, space))
+                }
+                FilterSpec::Include(c) => Member::Include(shared(c, false)),
+                FilterSpec::Hybrid(c) if c.ej_allocation == EjAllocation::Backup => {
+                    Member::Hybrid(shared(c.include, true), ExcludeSide::new(c, space))
+                }
+                FilterSpec::Hybrid(c) => Member::Eager(HybridJetty::new(c, space)),
+            })
+            .collect();
+        Self { includes, members }
+    }
+
+    /// Number of members (the spec list's length).
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// `true` for a bank built from an empty spec list.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Replays a node's deferred event chunk through the bank — exactly
+    /// equivalent to the per-event calls, member by member. Each shared
+    /// IJ replays once ([`crate::kernels::ij_replay`]); then each member
+    /// replays in bank order, backup hybrids reading their IJ's verdict
+    /// slice. `level` picks the replay kernels (a run passes
+    /// [`kernels::active_level`](crate::kernels::active_level);
+    /// differential tests pass both). `node` only labels the
+    /// filter-safety panic, which names the first unsafe member in bank
+    /// order.
+    pub fn apply_batch(&mut self, level: SimdLevel, events: &[FilterEvent], node: usize) {
+        for shared in &mut self.includes {
+            shared.unsafe_at =
+                shared.ij.replay_events(level, events, shared.verdicts.as_mut()).unsafe_at;
+        }
+        for member in &mut self.members {
+            match member {
+                Member::Null(f) => f.apply_batch(events),
+                Member::Exclude(f) => f.apply_batch(level, events, node),
+                Member::VectorExclude(f) => f.apply_batch(level, events, node),
+                Member::Include(k) => {
+                    let shared = &self.includes[*k];
+                    if let Some(bad) = shared.unsafe_at {
+                        crate::filter::unsafe_filter(&shared.ij.name(), events, bad, node);
+                    }
+                }
+                Member::Hybrid(k, side) => {
+                    let verdicts = self.includes[*k].verdicts.as_deref().unwrap_or_default();
+                    side.replay(level, events, verdicts, node);
+                }
+                Member::Eager(f) => f.apply_batch(level, events, node),
+            }
+        }
+    }
+
+    /// The per-event twin of a snoop [`FilterEvent`]: every member probes
+    /// `unit` (each shared IJ once), a filtered snoop to a cached unit
+    /// (`would_hit`) panics naming the member and `node`, and members
+    /// that failed to filter a genuine miss learn it with `scope`.
+    pub fn snoop(&mut self, unit: UnitAddr, would_hit: bool, scope: MissScope, node: usize) {
+        self.probe_includes(unit);
+        for k in 0..self.members.len() {
+            if self.probe_member(k, unit).is_filtered() {
+                assert!(
+                    !would_hit,
+                    "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
+                    self.name(k)
+                );
+            } else if !would_hit {
+                match &mut self.members[k] {
+                    Member::Null(_) | Member::Include(_) => {}
+                    Member::Exclude(f) => f.record_snoop_miss(unit, scope),
+                    Member::VectorExclude(f) => f.record_snoop_miss(unit, scope),
+                    Member::Hybrid(_, side) => side.record_snoop_miss(unit, scope),
+                    Member::Eager(f) => f.record_snoop_miss(unit, scope),
+                }
+            }
+        }
+    }
+
+    /// Probes every member for a snoop to `unit` (each shared IJ once)
+    /// and returns the verdicts in bank order, teaching nothing — the
+    /// consistency check's view of the live states.
+    pub fn probe(&mut self, unit: UnitAddr) -> Vec<Verdict> {
+        self.probe_includes(unit);
+        (0..self.members.len()).map(|k| self.probe_member(k, unit)).collect()
+    }
+
+    /// The local L2 gained `unit`: every member (each shared IJ once)
+    /// learns it.
+    pub fn on_allocate(&mut self, unit: UnitAddr) {
+        for shared in &mut self.includes {
+            shared.ij.on_allocate(unit);
+        }
+        for member in &mut self.members {
+            match member {
+                Member::Null(_) | Member::Include(_) => {}
+                Member::Exclude(f) => f.on_allocate(unit),
+                Member::VectorExclude(f) => f.on_allocate(unit),
+                Member::Hybrid(_, side) => side.on_allocate(unit),
+                Member::Eager(f) => f.on_allocate(unit),
+            }
+        }
+    }
+
+    /// The local L2 lost `unit`: every member (each shared IJ once)
+    /// learns it.
+    pub fn on_deallocate(&mut self, unit: UnitAddr) {
+        for shared in &mut self.includes {
+            shared.ij.on_deallocate(unit);
+        }
+        for member in &mut self.members {
+            match member {
+                Member::Null(_) | Member::Include(_) => {}
+                Member::Exclude(f) => f.on_deallocate(unit),
+                Member::VectorExclude(f) => f.on_deallocate(unit),
+                Member::Hybrid(_, side) => side.on_deallocate(unit),
+                Member::Eager(f) => f.on_deallocate(unit),
+            }
+        }
+    }
+
+    /// Paper-style name of member `k`.
+    pub fn name(&self, k: usize) -> String {
+        match &self.members[k] {
+            Member::Null(f) => f.name(),
+            Member::Exclude(f) => f.name(),
+            Member::VectorExclude(f) => f.name(),
+            Member::Include(i) => self.includes[*i].ij.name(),
+            Member::Hybrid(_, side) => side.name(),
+            Member::Eager(f) => f.name(),
+        }
+    }
+
+    /// The physical arrays of member `k`.
+    pub fn arrays(&self, k: usize) -> Vec<ArraySpec> {
+        match &self.members[k] {
+            Member::Null(f) => f.arrays(),
+            Member::Exclude(f) => f.arrays(),
+            Member::VectorExclude(f) => f.arrays(),
+            Member::Include(i) => self.includes[*i].ij.arrays(),
+            Member::Hybrid(i, side) => side.arrays(&self.includes[*i].ij),
+            Member::Eager(f) => f.arrays(),
+        }
+    }
+
+    /// Total storage of member `k` in bits.
+    pub fn storage_bits(&self, k: usize) -> usize {
+        self.arrays(k).iter().map(ArraySpec::storage_bits).sum()
+    }
+
+    /// Access counts member `k` accumulated, aligned with
+    /// [`FilterBank::arrays`].
+    pub fn activity(&self, k: usize) -> FilterActivity {
+        match &self.members[k] {
+            Member::Null(f) => f.activity(),
+            Member::Exclude(f) => f.activity(),
+            Member::VectorExclude(f) => f.activity(),
+            Member::Include(i) => self.includes[*i].ij.activity(),
+            Member::Hybrid(i, side) => side.activity(&self.includes[*i].ij),
+            Member::Eager(f) => f.activity(),
+        }
+    }
+
+    /// Probes each shared IJ once for the snoop in flight.
+    fn probe_includes(&mut self, unit: UnitAddr) {
+        for shared in &mut self.includes {
+            shared.verdict = shared.ij.probe(unit);
+        }
+    }
+
+    /// Member `k`'s verdict for the snoop in flight (shared IJs already
+    /// probed by [`FilterBank::probe_includes`]).
+    fn probe_member(&mut self, k: usize, unit: UnitAddr) -> Verdict {
+        match &mut self.members[k] {
+            Member::Null(f) => f.probe(unit),
+            Member::Exclude(f) => f.probe(unit),
+            Member::VectorExclude(f) => f.probe(unit),
+            Member::Include(i) => self.includes[*i].verdict,
+            Member::Hybrid(i, side) => side.probe(unit, self.includes[*i].verdict.is_filtered()),
+            Member::Eager(f) => f.probe(unit),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shared_geometry_bank() -> Vec<FilterSpec> {
+        vec![
+            FilterSpec::include(8, 4, 7),
+            FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
+            FilterSpec::hybrid_vector(8, 4, 7, 32, 4, 8),
+            FilterSpec::hybrid_scalar_eager(8, 4, 7, 16, 2),
+            FilterSpec::exclude(16, 2),
+            FilterSpec::include(6, 5, 6),
+        ]
+    }
+
+    #[test]
+    fn one_live_include_per_geometry_and_eager_keeps_its_own() {
+        let bank = FilterBank::new(&shared_geometry_bank(), AddrSpace::default());
+        assert_eq!(bank.len(), 6);
+        assert_eq!(bank.includes.len(), 2, "IJ-8x4x7 and IJ-6x5x6");
+        assert!(matches!(bank.members[3], Member::Eager(_)));
+        let paper = FilterBank::new(&FilterSpec::paper_bank(), AddrSpace::default());
+        assert_eq!(paper.includes.len(), 5, "five IJ geometries serve 5 IJs and 7 hybrids");
+        assert!(FilterBank::new(&[], AddrSpace::default()).is_empty());
+    }
+
+    #[test]
+    fn members_report_like_standalone_filters() {
+        let specs = shared_geometry_bank();
+        let space = AddrSpace::default();
+        let mut bank = FilterBank::new(&specs, space);
+        let mut alone: Vec<Box<dyn SnoopFilter>> = specs.iter().map(|s| s.build(space)).collect();
+        let units: Vec<UnitAddr> = (0..200u64).map(|i| UnitAddr::new(i * 1237 % 4096)).collect();
+        let mut cached = std::collections::BTreeSet::new();
+        for (i, &u) in units.iter().enumerate() {
+            if i % 3 == 0 && cached.insert(u.raw()) {
+                bank.on_allocate(u);
+                alone.iter_mut().for_each(|f| f.on_allocate(u));
+            } else if i % 7 == 0 && cached.remove(&u.raw()) {
+                bank.on_deallocate(u);
+                alone.iter_mut().for_each(|f| f.on_deallocate(u));
+            } else {
+                let would_hit = cached.contains(&u.raw());
+                bank.snoop(u, would_hit, MissScope::Unit, 0);
+                for f in &mut alone {
+                    if !f.probe(u).is_filtered() && !would_hit {
+                        f.record_snoop_miss(u, MissScope::Unit);
+                    }
+                }
+            }
+        }
+        for (k, f) in alone.iter().enumerate() {
+            assert_eq!(bank.name(k), f.name());
+            assert_eq!(bank.activity(k), f.activity(), "{}", f.name());
+            assert_eq!(bank.arrays(k), f.arrays(), "{}", f.name());
+            assert_eq!(bank.storage_bits(k), f.storage_bits(), "{}", f.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "UNSAFE FILTER: IJ-8x4x7 filtered a snoop to cached unit")]
+    fn batched_unsafe_include_names_the_filter_and_node() {
+        // An empty IJ filters everything, so a snoop claiming a cached
+        // unit must trip the safety check on the first IJ user.
+        let mut bank = FilterBank::new(&shared_geometry_bank(), AddrSpace::default());
+        let lie =
+            FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
+        bank.apply_batch(crate::kernels::active_level(), &[lie], 3);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "UNSAFE FILTER: (IJ-9x4x7, EJ-32x4) filtered a snoop to cached unit u0x5 on node 2"
+    )]
+    fn batched_unsafe_hybrid_names_the_hybrid_and_node() {
+        let mut bank =
+            FilterBank::new(&[FilterSpec::hybrid_scalar(9, 4, 7, 32, 4)], AddrSpace::default());
+        let lie =
+            FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
+        bank.apply_batch(crate::kernels::active_level(), &[lie], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "on node 1")]
+    fn per_event_unsafe_snoop_names_the_node() {
+        let mut bank = FilterBank::new(&shared_geometry_bank(), AddrSpace::default());
+        bank.snoop(UnitAddr::new(5), true, MissScope::Unit, 1);
+    }
+}

@@ -225,15 +225,8 @@ impl ExcludeJetty {
     /// fuses the eager probe+record sequence around one lookup per
     /// snoop, tick order preserved exactly.
     pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        let out = self.replay_events(level, events, &[]);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: EJ-{}x{} filtered a snoop to cached unit {unit} on node {node}",
-                self.config.sets, self.config.ways
-            );
+        if let Some(bad) = self.replay_events(level, events, &[]).unsafe_at {
+            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
         }
     }
 

@@ -162,7 +162,7 @@ impl FilterActivity {
 /// state. The substrate exploits this by logging one compact event per
 /// notification while it simulates a chunk of references scalar-fashion,
 /// then replaying each node's event list through each filter in turn
-/// ([`AnyFilter::apply_batch`](crate::AnyFilter::apply_batch)) — one
+/// ([`FilterBank::apply_batch`](crate::FilterBank::apply_batch)) — one
 /// filter's arrays stay cache-resident across thousands of events instead
 /// of a whole bank thrashing per snoop. Replaying the events in order is
 /// *exactly* equivalent to the eager calls, including energy accounting.
@@ -196,6 +196,18 @@ pub enum FilterEvent {
     Allocate(UnitAddr),
     /// The local L2 lost a valid copy ([`on_deallocate`](SnoopFilter::on_deallocate)).
     Deallocate(UnitAddr),
+}
+
+/// Panics with the standard filter-safety message for the snoop at
+/// `events[at]`, which the filter called `name` answered `NotCached`
+/// although the unit was cached on `node`. Every batched replay reports
+/// its kernel's `unsafe_at` index through here, so the message names the
+/// filter and node the same way on every path.
+pub(crate) fn unsafe_filter(name: &str, events: &[FilterEvent], at: usize, node: usize) -> ! {
+    let FilterEvent::Snoop { unit, .. } = events[at] else {
+        unreachable!("unsafe_at always indexes a snoop event");
+    };
+    panic!("UNSAFE FILTER: {name} filtered a snoop to cached unit {unit} on node {node}");
 }
 
 /// A snoop filter in the JETTY family.

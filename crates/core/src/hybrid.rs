@@ -13,6 +13,13 @@
 //! them, so the rule falls out naturally). Both components are probed in
 //! parallel on every snoop to keep latency off the critical path, so both
 //! always pay probe energy.
+//!
+//! Because the IJ component never learns from snoops, its state is the
+//! same as a standalone IJ's of the same geometry. Inside a
+//! [`FilterBank`](crate::FilterBank) a backup-policy hybrid therefore
+//! owns only its exclude side ([`ExcludeSide`]) and reads the bank's one
+//! shared IJ; a [`HybridJetty`] is the self-contained pairing of that side
+//! with a private IJ, which the eager-allocation ablation keeps.
 
 use std::fmt;
 
@@ -150,52 +157,28 @@ impl HybridConfig {
 /// ```
 #[derive(Clone)]
 pub struct HybridJetty {
-    config: HybridConfig,
     include: IncludeJetty,
-    exclude: ExcludeEngine,
-    probes: u64,
-    filtered: u64,
-    /// Reusable gather buffer for the eager-ablation replay: the unit
-    /// addresses of one run of consecutive snoop events.
-    scratch_units: Vec<u64>,
-    /// Reusable IJ verdict buffer: the backup-policy replay fills it
-    /// with one verdict per event (shared between the IJ and EJ kernel
-    /// passes); the eager ablation pairs it with `scratch_units`.
-    scratch_absent: Vec<bool>,
+    side: ExcludeSide,
 }
 
 impl fmt::Debug for HybridJetty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HybridJetty")
-            .field("config", &self.config)
-            .field("probes", &self.probes)
-            .field("filtered", &self.filtered)
-            .finish()
+        self.side.fmt(f)
     }
 }
 
 impl HybridJetty {
     /// Creates a Hybrid-Jetty for the given address space.
     pub fn new(config: HybridConfig, space: AddrSpace) -> Self {
-        let include = IncludeJetty::new(config.include, space);
-        let exclude = match config.exclude {
-            ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
-            ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
-        };
         Self {
-            config,
-            include,
-            exclude,
-            probes: 0,
-            filtered: 0,
-            scratch_units: Vec::new(),
-            scratch_absent: Vec::new(),
+            include: IncludeJetty::new(config.include, space),
+            side: ExcludeSide::new(config, space),
         }
     }
 
     /// The configuration this filter was built with.
     pub fn config(&self) -> HybridConfig {
-        self.config
+        self.side.config
     }
 
     /// Read access to the include component (for tests and diagnostics).
@@ -203,48 +186,28 @@ impl HybridJetty {
         &self.include
     }
 
-    /// Replays a node's deferred event list through the hybrid — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (probe, then
-    /// the safety assertion or [`record_snoop_miss`](SnoopFilter::record_snoop_miss)
-    /// on an unfiltered genuine miss). The hybrid keeps both component
-    /// structures hot across the batch; `probe` carries the eager-ablation
-    /// side effects, so replay goes through it rather than inlining the
-    /// components. `node` only labels the safety panic.
+    /// Replays a node's deferred event list through the hybrid and its
+    /// private IJ — exactly equivalent to the substrate's eager per-snoop
+    /// sequence (probe, then the safety assertion or
+    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss) on an
+    /// unfiltered genuine miss). `node` only labels the safety panic.
     ///
-    /// Under the paper's backup policy the **same** event chunk is
-    /// replayed by two kernel calls, with no gather pass: the IJ pass
-    /// fills a verdict vector parallel to the chunk (safe to run ahead —
-    /// nothing in the hybrid's snoop handling mutates IJ state, and IJ
-    /// state never depends on the EJ), then the EJ/VEJ pass reads that
-    /// slice to compute union verdicts, records exactly the misses
-    /// neither component filtered, and is the panic authority for unsafe
-    /// filters. The eager-allocation ablation (which mutates the exclude
-    /// part mid-run on IJ-filtered snoops) keeps its per-event replay
-    /// below.
-    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        if self.config.ej_allocation == EjAllocation::Backup {
-            let mut verdicts = std::mem::take(&mut self.scratch_absent);
-            // IJ pass: verdicts + counter RMWs. Its unsafe index is
-            // ignored — the EJ pass sees the same verdict slice and owns
-            // the union safety check.
-            self.include.replay_events(level, events, Some(&mut verdicts));
-            let out = exclude_dispatch!(&mut self.exclude, replay_events(level, events, &verdicts));
-            self.scratch_absent = verdicts;
-            self.probes += out.probes;
-            self.filtered += out.union_filtered;
-            if let Some(bad) = out.unsafe_at {
-                let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                    unreachable!("unsafe_at always indexes a snoop event");
-                };
-                panic!(
-                    "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                    self.name()
-                );
-            }
-            return;
-        }
-        let mut units = std::mem::take(&mut self.scratch_units);
-        let mut ij_absent = std::mem::take(&mut self.scratch_absent);
+    /// A [`FilterBank`](crate::FilterBank) routes only eager-allocation
+    /// hybrids here: the eager ablation mutates the exclude part mid-run
+    /// on IJ-filtered snoops and reads the IJ's p-bits at that point, so
+    /// each run of consecutive snoops batch-probes the IJ
+    /// ([`IncludeJetty::probe_many`]) and then walks the events in order.
+    /// Backup-policy hybrids never reach this: the bank replays their IJ
+    /// once per distinct geometry and hands each one's EJ/VEJ pass the
+    /// shared verdict slice.
+    pub(crate) fn apply_batch(
+        &mut self,
+        level: SimdLevel,
+        events: &[crate::FilterEvent],
+        node: usize,
+    ) {
+        let mut units = Vec::new();
+        let mut ij_absent = Vec::new();
         let mut i = 0;
         while i < events.len() {
             match events[i] {
@@ -262,32 +225,10 @@ impl HybridJetty {
                         else {
                             unreachable!("gathered run contains only snoop events");
                         };
-                        self.probes += 1;
-                        let ej = exclude_dispatch!(&mut self.exclude, probe(unit));
-                        if ij_filtered || ej.is_filtered() {
-                            // Same eager-ablation sequence as `probe`, per
-                            // event and in order (its p-bit read charges
-                            // are data-dependent).
-                            if self.config.ej_allocation == EjAllocation::Eager && !ej.is_filtered()
-                            {
-                                let block_units = 1u64 << self.include.space().block_unit_shift();
-                                let base = unit.raw() & !(block_units - 1);
-                                let block_absent = (0..block_units).all(|off| {
-                                    self.include.guarantees_absent(UnitAddr::new(base | off))
-                                });
-                                let scope =
-                                    if block_absent { MissScope::Block } else { MissScope::Unit };
-                                exclude_dispatch!(
-                                    &mut self.exclude,
-                                    record_snoop_miss(unit, scope)
-                                );
+                        if self.union(unit, ij_filtered).is_filtered() {
+                            if would_hit {
+                                crate::filter::unsafe_filter(&self.name(), events, run + k, node);
                             }
-                            self.filtered += 1;
-                            assert!(
-                                !would_hit,
-                                "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                                self.name()
-                            );
                         } else if !would_hit {
                             self.record_snoop_miss(unit, scope);
                         }
@@ -303,32 +244,142 @@ impl HybridJetty {
                 }
             }
         }
-        self.scratch_units = units;
-        self.scratch_absent = ij_absent;
+    }
+
+    /// Probes the exclude component and combines its verdict with the
+    /// IJ's (already probed) into the hybrid's union verdict, running the
+    /// eager ablation's EJ learning on the way.
+    fn union(&mut self, addr: UnitAddr, ij_filtered: bool) -> Verdict {
+        if self.side.config.ej_allocation == EjAllocation::Backup {
+            return self.side.probe(addr, ij_filtered);
+        }
+        self.side.probes += 1;
+        let ej = exclude_dispatch!(&mut self.side.exclude, probe(addr));
+        if !(ij_filtered || ej.is_filtered()) {
+            return Verdict::MaybeCached;
+        }
+        // Eager ablation: a filtered snoop is a guaranteed L2 miss, so the
+        // EJ may record it immediately even though the substrate will not
+        // report it (the hybrid filtered it). Block-grain recording
+        // requires every sibling unit of the block to be IJ-guaranteed
+        // absent; the extra p-bit reads are charged.
+        if !ej.is_filtered() {
+            let block_units = 1u64 << self.include.space().block_unit_shift();
+            let base = addr.raw() & !(block_units - 1);
+            let block_absent =
+                (0..block_units).all(|k| self.include.guarantees_absent(UnitAddr::new(base | k)));
+            let scope = if block_absent { MissScope::Block } else { MissScope::Unit };
+            exclude_dispatch!(&mut self.side.exclude, record_snoop_miss(addr, scope));
+        }
+        self.side.filtered += 1;
+        Verdict::NotCached
     }
 }
 
 impl SnoopFilter for HybridJetty {
     fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        self.probes += 1;
         // Both components are probed in parallel (latency), so both always
         // pay energy, even when one alone would have filtered.
         let ij = self.include.probe(addr);
+        self.union(addr, ij.is_filtered())
+    }
+
+    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
+        // Only reached when neither component filtered, i.e. the IJ failed:
+        // allocate in the EJ (the IJ ignores snoop misses by construction).
+        self.side.record_snoop_miss(addr, scope);
+    }
+
+    fn on_allocate(&mut self, addr: UnitAddr) {
+        self.include.on_allocate(addr);
+        self.side.on_allocate(addr);
+    }
+
+    fn on_deallocate(&mut self, addr: UnitAddr) {
+        self.include.on_deallocate(addr);
+        self.side.on_deallocate(addr);
+    }
+
+    fn arrays(&self) -> Vec<ArraySpec> {
+        self.side.arrays(&self.include)
+    }
+
+    fn activity(&self) -> FilterActivity {
+        self.side.activity(&self.include)
+    }
+
+    fn reset_activity(&mut self) {
+        self.include.reset_activity();
+        exclude_dispatch!(&mut self.side.exclude, reset_activity());
+        self.side.probes = 0;
+        self.side.filtered = 0;
+    }
+
+    fn name(&self) -> String {
+        self.side.config.label()
+    }
+}
+
+/// Everything of a hybrid except its IJ: the configuration, the EJ/VEJ
+/// component and the union probe/filtered counters. A [`HybridJetty`]
+/// pairs it with a private IJ; a [`FilterBank`](crate::FilterBank) pairs
+/// each backup-policy hybrid's side with the one IJ state it shares with
+/// every other filter of the same IJ geometry. The IJ's arrays and
+/// activity are read from whichever IJ the caller passes in, so the
+/// hybrid's report is the same either way.
+#[derive(Clone)]
+pub(crate) struct ExcludeSide {
+    config: HybridConfig,
+    exclude: ExcludeEngine,
+    probes: u64,
+    filtered: u64,
+}
+
+impl fmt::Debug for ExcludeSide {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HybridJetty")
+            .field("config", &self.config)
+            .field("probes", &self.probes)
+            .field("filtered", &self.filtered)
+            .finish()
+    }
+}
+
+impl ExcludeSide {
+    pub(crate) fn new(config: HybridConfig, space: AddrSpace) -> Self {
+        let exclude = match config.exclude {
+            ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
+            ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
+        };
+        Self { config, exclude, probes: 0, filtered: 0 }
+    }
+
+    /// The paper's backup-policy union replay of one event chunk, given
+    /// the IJ's verdict slice for the same chunk (one `bool` per event,
+    /// `true` only for IJ-filtered snoops): a single EJ/VEJ kernel call
+    /// computes the union verdicts, records exactly the misses neither
+    /// component filtered, and is the panic authority for the hybrid.
+    pub(crate) fn replay(
+        &mut self,
+        level: SimdLevel,
+        events: &[crate::FilterEvent],
+        ij_filtered: &[bool],
+        node: usize,
+    ) {
+        let out = exclude_dispatch!(&mut self.exclude, replay_events(level, events, ij_filtered));
+        self.probes += out.probes;
+        self.filtered += out.union_filtered;
+        if let Some(bad) = out.unsafe_at {
+            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
+        }
+    }
+
+    /// The backup-policy union verdict of one snoop, given whether the IJ
+    /// (probed by the caller) filtered it.
+    pub(crate) fn probe(&mut self, addr: UnitAddr, ij_filtered: bool) -> Verdict {
+        self.probes += 1;
         let ej = exclude_dispatch!(&mut self.exclude, probe(addr));
-        if ij.is_filtered() || ej.is_filtered() {
-            // Eager ablation: a filtered snoop is a guaranteed L2 miss, so
-            // the EJ may record it immediately even though the substrate
-            // will not report it (the hybrid filtered it). Block-grain
-            // recording requires every sibling unit of the block to be
-            // IJ-guaranteed absent; the extra p-bit reads are charged.
-            if self.config.ej_allocation == EjAllocation::Eager && !ej.is_filtered() {
-                let block_units = 1u64 << self.include.space().block_unit_shift();
-                let base = addr.raw() & !(block_units - 1);
-                let block_absent = (0..block_units)
-                    .all(|k| self.include.guarantees_absent(UnitAddr::new(base | k)));
-                let scope = if block_absent { MissScope::Block } else { MissScope::Unit };
-                exclude_dispatch!(&mut self.exclude, record_snoop_miss(addr, scope));
-            }
+        if ij_filtered || ej.is_filtered() {
             self.filtered += 1;
             Verdict::NotCached
         } else {
@@ -336,46 +387,35 @@ impl SnoopFilter for HybridJetty {
         }
     }
 
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        // Only reached when neither component filtered, i.e. the IJ failed:
-        // allocate in the EJ (the IJ ignores snoop misses by construction).
-        self.include.record_snoop_miss(addr, scope);
+    pub(crate) fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
         exclude_dispatch!(&mut self.exclude, record_snoop_miss(addr, scope));
     }
 
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        self.include.on_allocate(addr);
+    pub(crate) fn on_allocate(&mut self, addr: UnitAddr) {
         exclude_dispatch!(&mut self.exclude, on_allocate(addr));
     }
 
-    fn on_deallocate(&mut self, addr: UnitAddr) {
-        self.include.on_deallocate(addr);
+    pub(crate) fn on_deallocate(&mut self, addr: UnitAddr) {
         exclude_dispatch!(&mut self.exclude, on_deallocate(addr));
     }
 
-    fn arrays(&self) -> Vec<ArraySpec> {
-        let mut specs = self.include.arrays();
+    pub(crate) fn name(&self) -> String {
+        self.config.label()
+    }
+
+    /// The hybrid's arrays: `include`'s, then the exclude component's.
+    pub(crate) fn arrays(&self, include: &IncludeJetty) -> Vec<ArraySpec> {
+        let mut specs = include.arrays();
         specs.extend(exclude_dispatch!(&self.exclude, arrays()));
         specs
     }
 
-    fn activity(&self) -> FilterActivity {
-        let ij = self.include.activity();
-        let ej = exclude_dispatch!(&self.exclude, activity());
-        let mut arrays = ij.arrays;
-        arrays.extend(ej.arrays);
+    /// The hybrid's activity: `include`'s array counts, then the exclude
+    /// component's, under the union probe/filtered counters.
+    pub(crate) fn activity(&self, include: &IncludeJetty) -> FilterActivity {
+        let mut arrays = include.activity().arrays;
+        arrays.extend(exclude_dispatch!(&self.exclude, activity()).arrays);
         FilterActivity { arrays, probes: self.probes, filtered: self.filtered }
-    }
-
-    fn reset_activity(&mut self) {
-        self.include.reset_activity();
-        exclude_dispatch!(&mut self.exclude, reset_activity());
-        self.probes = 0;
-        self.filtered = 0;
-    }
-
-    fn name(&self) -> String {
-        self.config.label()
     }
 }
 

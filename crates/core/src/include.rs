@@ -262,41 +262,22 @@ impl IncludeJetty {
         false
     }
 
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence, with the
-    /// probe/filtered counters accumulated in registers and the packed
-    /// p-bit bitmap cache-resident across the batch. IJ ignores
-    /// `record_snoop_miss`, so unfiltered misses need no replay work; the
-    /// safety assertion fires exactly as in the eager path. `node` only
-    /// labels the panic. The event chunk goes to a single
-    /// [`kernels::ij_replay`] call as-is (no gather pass): snoop runs
-    /// batch-test the packed p-bit bitmap four units at a time,
+    /// Replays a node's deferred event chunk through a single
+    /// [`kernels::ij_replay`] call as-is (no gather pass) — exactly
+    /// equivalent to the substrate's eager per-event sequence: snoop
+    /// runs batch-test the packed p-bit bitmap four units at a time,
     /// allocate/deallocate counter read-modify-writes run in event order
-    /// inside the kernel.
-    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        // Standalone IJ needs no per-event verdicts — only the hybrid's
-        // EJ pass consumes them — so skip the recording entirely.
-        let out = self.replay_events(level, events, None);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                self.name()
-            );
-        }
-    }
-
-    /// Replays one [`crate::FilterEvent`] chunk through a single
-    /// [`kernels::ij_replay`] call. With `verdicts: Some`, one verdict
-    /// per event is pushed (cleared first; `true` only for IJ-filtered
-    /// snoops — the hybrid's EJ pass consumes the parallel slice); the
-    /// standalone batch path passes `None` and skips the recording. The
-    /// kernel's counters fold into this filter's activity: probe and
-    /// counter-RMW counts are uniform charges, the data-dependent
-    /// per-sub-array p-bit writes come back through `scratch_writes`.
-    /// The caller owns the unsafe-filter panic.
+    /// inside the kernel. IJ ignores `record_snoop_miss`, so unfiltered
+    /// misses need no replay work.
+    ///
+    /// With `verdicts: Some`, one verdict per event is pushed (cleared
+    /// first; `true` only for IJ-filtered snoops) for the backup-policy
+    /// hybrids of a [`FilterBank`](crate::FilterBank) that share this
+    /// state; with `None` the recording is skipped. The kernel's counters
+    /// fold into this filter's activity: probe and counter-RMW counts are
+    /// uniform charges, the data-dependent per-sub-array p-bit writes
+    /// come back through `scratch_writes`. The caller owns the
+    /// unsafe-filter panic.
     pub(crate) fn replay_events(
         &mut self,
         level: SimdLevel,
@@ -330,8 +311,9 @@ impl IncludeJetty {
 
     /// Batched [`probe`](SnoopFilter::probe) over a run of raw snoop unit
     /// addresses, appending one absent/present verdict per unit to
-    /// `absent` — used by the hybrid's batched replay. Counts probes and
-    /// filtered snoops exactly as per-event `probe` calls would.
+    /// `absent` — used by the eager-allocation hybrid's batched replay.
+    /// Counts probes and filtered snoops exactly as per-event `probe`
+    /// calls would.
     pub fn probe_many(&mut self, level: SimdLevel, units: &[u64], absent: &mut Vec<bool>) {
         let start = absent.len();
         kernels::pbit_test_many(
@@ -351,7 +333,6 @@ impl IncludeJetty {
 impl SnoopFilter for IncludeJetty {
     fn probe(&mut self, addr: UnitAddr) -> Verdict {
         self.activity.probes += 1;
-        // A snoop reads one row of each p-bit array, in parallel.
         // A snoop reads one row of each p-bit array, in parallel; that
         // uniform read (one per array per probe) is derived from `probes`
         // in `activity()` rather than bumped per sub-array here — which

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 mod addr;
+mod bank;
 mod exclude;
 mod filter;
 mod hybrid;
@@ -71,6 +72,7 @@ mod spec;
 mod vector_exclude;
 
 pub use addr::{AddrSpace, UnitAddr};
+pub use bank::FilterBank;
 pub use exclude::{ExcludeConfig, ExcludeJetty};
 pub use filter::{
     ArrayActivity, ArrayKind, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter,
@@ -79,5 +81,5 @@ pub use filter::{
 pub use hybrid::{EjAllocation, ExcludePart, HybridConfig, HybridJetty};
 pub use include::{IncludeConfig, IncludeJetty};
 pub use null::NullFilter;
-pub use spec::{AnyFilter, FilterSpec};
+pub use spec::FilterSpec;
 pub use vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};

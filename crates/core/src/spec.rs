@@ -6,9 +6,9 @@
 
 use std::fmt;
 
-use crate::addr::{AddrSpace, UnitAddr};
+use crate::addr::AddrSpace;
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
-use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
+use crate::filter::SnoopFilter;
 use crate::hybrid::{EjAllocation, ExcludePart, HybridConfig, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::null::NullFilter;
@@ -83,10 +83,10 @@ impl FilterSpec {
 
     /// Builds a fresh filter instance for one SMP node.
     ///
-    /// The returned box is [`Send`] ([`SnoopFilter`] requires it), so a
-    /// built bank — and the simulated system holding it — can be handed to
-    /// a worker thread. Hot simulation loops should prefer
-    /// [`FilterSpec::build_any`], which dispatches statically.
+    /// The returned box is [`Send`] ([`SnoopFilter`] requires it), so it
+    /// can be handed to a worker thread. Simulations build whole per-node
+    /// banks instead ([`FilterBank`](crate::FilterBank)), which dispatch
+    /// statically and share IJ state between configurations.
     pub fn build(&self, space: AddrSpace) -> Box<dyn SnoopFilter> {
         match *self {
             FilterSpec::Null => Box::new(NullFilter::new()),
@@ -94,22 +94,6 @@ impl FilterSpec {
             FilterSpec::VectorExclude(c) => Box::new(VectorExcludeJetty::new(c, space)),
             FilterSpec::Include(c) => Box::new(IncludeJetty::new(c, space)),
             FilterSpec::Hybrid(c) => Box::new(HybridJetty::new(c, space)),
-        }
-    }
-
-    /// Builds a fresh filter instance as an [`AnyFilter`] value (no heap
-    /// box, no vtable): the representation the simulator's per-node banks
-    /// store, so every per-snoop probe is a direct, inlinable call on
-    /// contiguous memory.
-    pub fn build_any(&self, space: AddrSpace) -> AnyFilter {
-        match *self {
-            FilterSpec::Null => AnyFilter::Null(NullFilter::new()),
-            FilterSpec::Exclude(c) => AnyFilter::Exclude(ExcludeJetty::new(c, space)),
-            FilterSpec::VectorExclude(c) => {
-                AnyFilter::VectorExclude(VectorExcludeJetty::new(c, space))
-            }
-            FilterSpec::Include(c) => AnyFilter::Include(IncludeJetty::new(c, space)),
-            FilterSpec::Hybrid(c) => AnyFilter::Hybrid(HybridJetty::new(c, space)),
         }
     }
 
@@ -303,111 +287,6 @@ fn parse_ij_dims(s: &str) -> Option<(u32, u32, u32)> {
 impl fmt::Display for FilterSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-/// A concrete filter instance behind an enum instead of a `dyn` box.
-///
-/// The simulator probes every filter of every node's bank on every snoop;
-/// storing banks as `Vec<AnyFilter>` keeps the filter states in one
-/// contiguous allocation and turns each probe into a statically-dispatched
-/// (and inlinable) call — the `Box<dyn SnoopFilter>` route pays a pointer
-/// chase plus an indirect call per event. `AnyFilter` itself implements
-/// [`SnoopFilter`], so generic code works with either representation.
-// The size spread between variants is deliberate: banks store filters by
-// value precisely to avoid the per-probe pointer chase a boxed large
-// variant would reintroduce, and banks are small (tens of filters).
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum AnyFilter {
-    /// A [`NullFilter`].
-    Null(NullFilter),
-    /// An [`ExcludeJetty`].
-    Exclude(ExcludeJetty),
-    /// A [`VectorExcludeJetty`].
-    VectorExclude(VectorExcludeJetty),
-    /// An [`IncludeJetty`].
-    Include(IncludeJetty),
-    /// A [`HybridJetty`].
-    Hybrid(HybridJetty),
-}
-
-/// Forwards one method call to whichever variant is live.
-macro_rules! dispatch {
-    ($self:expr, $f:ident ( $($arg:expr),* )) => {
-        match $self {
-            AnyFilter::Null(inner) => inner.$f($($arg),*),
-            AnyFilter::Exclude(inner) => inner.$f($($arg),*),
-            AnyFilter::VectorExclude(inner) => inner.$f($($arg),*),
-            AnyFilter::Include(inner) => inner.$f($($arg),*),
-            AnyFilter::Hybrid(inner) => inner.$f($($arg),*),
-        }
-    };
-}
-
-impl AnyFilter {
-    /// Replays a node's deferred event list ([`crate::FilterEvent`])
-    /// through this filter — the batched twin of the substrate's eager
-    /// per-snoop calls. The variant match is hoisted *outside* the event
-    /// loop: one filter's arrays stay cache-resident across thousands of
-    /// events instead of a whole bank thrashing per snoop, which is the
-    /// point of batching. `level` picks the replay kernels (the run passes
-    /// [`kernels::active_level`](crate::kernels::active_level);
-    /// differential tests pass both); the null filter has no kernel path
-    /// (its replay is a counter bump). `node` only labels the
-    /// filter-safety panic.
-    #[inline]
-    pub fn apply_batch(
-        &mut self,
-        level: crate::kernels::SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
-        match self {
-            AnyFilter::Null(inner) => inner.apply_batch(events),
-            AnyFilter::Exclude(inner) => inner.apply_batch(level, events, node),
-            AnyFilter::VectorExclude(inner) => inner.apply_batch(level, events, node),
-            AnyFilter::Include(inner) => inner.apply_batch(level, events, node),
-            AnyFilter::Hybrid(inner) => inner.apply_batch(level, events, node),
-        }
-    }
-}
-
-impl SnoopFilter for AnyFilter {
-    #[inline]
-    fn probe(&mut self, addr: UnitAddr) -> Verdict {
-        dispatch!(self, probe(addr))
-    }
-
-    #[inline]
-    fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        dispatch!(self, record_snoop_miss(addr, scope))
-    }
-
-    #[inline]
-    fn on_allocate(&mut self, addr: UnitAddr) {
-        dispatch!(self, on_allocate(addr))
-    }
-
-    #[inline]
-    fn on_deallocate(&mut self, addr: UnitAddr) {
-        dispatch!(self, on_deallocate(addr))
-    }
-
-    fn arrays(&self) -> Vec<ArraySpec> {
-        dispatch!(self, arrays())
-    }
-
-    fn activity(&self) -> FilterActivity {
-        dispatch!(self, activity())
-    }
-
-    fn reset_activity(&mut self) {
-        dispatch!(self, reset_activity())
-    }
-
-    fn name(&self) -> String {
-        dispatch!(self, name())
     }
 }
 

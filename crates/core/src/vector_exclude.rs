@@ -218,15 +218,8 @@ impl VectorExcludeJetty {
     /// [`kernels::vej_replay`] call as-is (no gather pass; the kernel
     /// splits each address with this filter's [`VejGeom`]).
     pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        let out = self.replay_events(level, events, &[]);
-        if let Some(bad) = out.unsafe_at {
-            let crate::FilterEvent::Snoop { unit, .. } = events[bad] else {
-                unreachable!("unsafe_at always indexes a snoop event");
-            };
-            panic!(
-                "UNSAFE FILTER: VEJ-{}x{}-{} filtered a snoop to cached unit {unit} on node {node}",
-                self.config.sets, self.config.ways, self.config.vector_len
-            );
+        if let Some(bad) = self.replay_events(level, events, &[]).unsafe_at {
+            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
         }
     }
 

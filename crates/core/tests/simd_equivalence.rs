@@ -4,7 +4,10 @@
 //! (observed through post-replay probes). This is the SIMD sibling of
 //! `jetty-sim`'s `batch_equivalence` suite: that one pins batched replay
 //! against the eager path, this one pins the two kernel implementations
-//! against each other with proptest-generated event logs.
+//! against each other with proptest-generated event logs. Filters replay
+//! as whole [`FilterBank`]s, the way a run's flush delivers events, so
+//! the IJ states a bank shares between standalone IJs and hybrids are
+//! compared too.
 //!
 //! This is the only scalar-vs-AVX2 replay comparison an AVX2 host runs:
 //! every other test and golden check exercises the detected level only.
@@ -15,7 +18,7 @@
 use std::collections::BTreeSet;
 
 use jetty_core::kernels::SimdLevel;
-use jetty_core::{AddrSpace, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr};
+use jetty_core::{AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, UnitAddr};
 use proptest::prelude::*;
 
 /// Raw proptest material for one event: an action selector and an
@@ -71,18 +74,19 @@ fn build_events(
 
 /// [`assert_replays_agree`] over the events `actions` build on units
 /// `0..units`, sweeping the whole range afterwards.
-fn assert_levels_agree(spec: &FilterSpec, actions: &[Action], chunk_len: usize, units: u64) {
+fn assert_levels_agree(bank: &[FilterSpec], actions: &[Action], chunk_len: usize, units: u64) {
     let events = build_events(actions, AddrSpace::default(), |seed| seed % units);
-    assert_replays_agree(spec, &events, chunk_len, 0..units);
+    assert_replays_agree(bank, &events, chunk_len, 0..units);
 }
 
-/// Replays `events` through two fresh instances of `spec` — one per
+/// Replays `events` through two fresh [`FilterBank`]s of `bank` — one per
 /// kernel level — in `chunk_len`-sized batches, then asserts the
-/// observables agree: accumulated activity (probes, filtered, per-array
-/// reads/writes) and the verdict of a probe sweep over `sweep` (which
-/// observes the EJ/VEJ/IJ state the replay left behind).
+/// observables of every member agree: accumulated activity (probes,
+/// filtered, per-array reads/writes) and the verdicts of a probe sweep
+/// over `sweep` (which observes the EJ/VEJ/IJ state the replay left
+/// behind, shared IJ states included).
 fn assert_replays_agree(
-    spec: &FilterSpec,
+    bank: &[FilterSpec],
     events: &[FilterEvent],
     chunk_len: usize,
     sweep: impl IntoIterator<Item = u64>,
@@ -92,29 +96,33 @@ fn assert_replays_agree(
         return;
     };
     let space = AddrSpace::default();
-    let mut scalar = spec.build_any(space);
-    let mut vector = spec.build_any(space);
+    let mut scalar = FilterBank::new(bank, space);
+    let mut vector = FilterBank::new(bank, space);
     for chunk in events.chunks(chunk_len.max(1)) {
         scalar.apply_batch(SimdLevel::SCALAR, chunk, 0);
         vector.apply_batch(avx2, chunk, 0);
     }
-    assert_eq!(
-        scalar.activity(),
-        vector.activity(),
-        "{}: replay activity diverged between kernels",
-        spec.label()
-    );
+    let assert_activity_agrees = |scalar: &FilterBank, vector: &FilterBank, when: &str| {
+        for (k, spec) in bank.iter().enumerate() {
+            assert_eq!(
+                scalar.activity(k),
+                vector.activity(k),
+                "{}: {when} activity diverged between kernels",
+                spec.label()
+            );
+        }
+    };
+    assert_activity_agrees(&scalar, &vector, "replay");
     for unit in sweep {
         assert_eq!(
             scalar.probe(UnitAddr::new(unit)),
             vector.probe(UnitAddr::new(unit)),
-            "{}: post-replay verdict diverged at unit {unit}",
-            spec.label()
+            "post-replay verdicts diverged at unit {unit}"
         );
     }
     // The probe sweep above mutated both (EJ LRU stamps); activity must
     // still agree afterwards.
-    assert_eq!(scalar.activity(), vector.activity(), "{}: probe-sweep activity", spec.label());
+    assert_activity_agrees(&scalar, &vector, "probe-sweep");
 }
 
 proptest! {
@@ -127,9 +135,7 @@ proptest! {
         actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..400),
         chunk_len in 1usize..96,
     ) {
-        for spec in FilterSpec::paper_bank() {
-            assert_levels_agree(&spec, &actions, chunk_len, 64);
-        }
+        assert_levels_agree(&FilterSpec::paper_bank(), &actions, chunk_len, 64);
     }
 
     /// Associativities around the 4-lane width, including sub-4 sets that
@@ -140,16 +146,15 @@ proptest! {
         actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..300),
         chunk_len in 1usize..64,
     ) {
-        for spec in [
+        let bank = [
             FilterSpec::exclude(8, 1),
             FilterSpec::exclude(8, 3),
             FilterSpec::exclude(4, 5),
             FilterSpec::exclude(2, 9),
             FilterSpec::vector_exclude(8, 3, 8),
             FilterSpec::vector_exclude(2, 9, 4),
-        ] {
-            assert_levels_agree(&spec, &actions, chunk_len, 64);
-        }
+        ];
+        assert_levels_agree(&bank, &actions, chunk_len, 64);
     }
 
     /// A sparser address range drives eviction/victim-scan paths and the
@@ -160,13 +165,12 @@ proptest! {
         actions in prop::collection::vec((any::<u8>(), any::<u64>()), 1..300),
         chunk_len in 1usize..64,
     ) {
-        for spec in [
+        let bank = [
             FilterSpec::hybrid_scalar_eager(8, 4, 7, 16, 2),
             FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
             FilterSpec::include(6, 5, 6),
-        ] {
-            assert_levels_agree(&spec, &actions, chunk_len, 4096);
-        }
+        ];
+        assert_levels_agree(&bank, &actions, chunk_len, 4096);
     }
 }
 
@@ -202,11 +206,8 @@ proptest! {
             })
             .flat_map(|base| base..base + block_units)
             .collect();
-        let specs = FilterSpec::paper_bank()
-            .into_iter()
-            .chain([FilterSpec::hybrid_scalar_eager(10, 4, 7, 32, 4)]);
-        for spec in specs {
-            assert_replays_agree(&spec, &events, events.len(), sweep.iter().copied());
-        }
+        let mut bank = FilterSpec::paper_bank();
+        bank.push(FilterSpec::hybrid_scalar_eager(10, 4, 7, 32, 4));
+        assert_replays_agree(&bank, &events, events.len(), sweep.iter().copied());
     }
 }

@@ -42,7 +42,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jetty_experiments::engine::Engine;
+use jetty_experiments::engine::{Engine, SuiteTiming};
 use jetty_experiments::error::{exit, JettyError};
 use jetty_experiments::figures::{self, Fig6Panel};
 use jetty_experiments::results::render::Format;
@@ -102,7 +102,7 @@ fn usage() -> String {
          (default 1; env override: JETTY_SHARDS; capped against --threads so \
          jobs times shards never oversubscribes the host; results are \
          byte-identical at any count)\n\
-         --timings reports per-suite wall-clock on stderr (stdout untouched)\n\
+         --timings reports per-simulation wall-clock on stderr (stdout untouched)\n\
          --store appends this invocation's results to an append-only run \
          store file (and is where `runs`/`diff` read from)\n\
          --timing-band makes `diff` also fail when run B is more than PCT \
@@ -137,7 +137,7 @@ struct Cli {
     /// grid once parsing is done — they require the `sweep` command).
     axes: Vec<(Axis, String)>,
     check: bool,
-    /// Report per-suite wall-clock attribution on stderr (stdout stays
+    /// Report per-simulation wall-clock attribution on stderr (stdout stays
     /// byte-identical, so the golden-output guarantee is unaffected).
     timings: bool,
     /// `--store PATH`: append this invocation's results to a run store
@@ -524,24 +524,25 @@ fn main() -> ExitCode {
             .with_deadline(deadline)
             .with_shards(cli.shards.unwrap_or_else(Engine::default_shards))
     };
-    // Per-suite wall-clock attribution (stderr only): lets perf work blame
-    // time without external profilers. Printed after every batch the
-    // engine executes, so late, non-prefetched suites still report.
-    let report_timings = |engine: &Engine| {
+    // Per-simulation wall-clock attribution (stderr only): lets perf work
+    // blame time without external profilers. Printed after every batch
+    // the engine executes, so late, non-prefetched suites still report.
+    let report_timings = |timings: &[SuiteTiming]| {
         if !cli.timings {
             return;
         }
-        for t in engine.take_timings() {
+        for t in timings {
             eprintln!(
-                "[timing] suite {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
-                 kernel={} shards={}",
+                "[timing] simulation {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
+                 kernel={} shards={} suites={}",
                 t.options.describe(),
                 t.elapsed.as_secs_f64(),
                 t.jobs,
                 t.gen.as_secs_f64(),
                 t.sim.as_secs_f64(),
                 t.kernel,
-                t.shards
+                t.shards,
+                t.suites.join(",")
             );
         }
     };
@@ -570,27 +571,30 @@ fn main() -> ExitCode {
         // Coalesced requests return the same Arc (e.g. `all --cpus 8`
         // makes the base and smp8 suites one key); count each once.
         let mut seen = std::collections::HashSet::new();
-        let refs: u64 = suites
-            .iter()
-            .filter_map(|s| s.as_ref().ok())
-            .filter(|s| seen.insert(Arc::as_ptr(s)))
-            .map(|s| s.iter().map(|r| r.refs).sum::<u64>())
-            .sum();
         for outcome in suites {
-            if let Err(e) = outcome {
-                record_failure(&mut failures, &mut failed_seen, e);
+            match outcome {
+                Ok(runs) => {
+                    seen.insert(Arc::as_ptr(&runs));
+                }
+                Err(e) => record_failure(&mut failures, &mut failed_seen, e),
             }
         }
+        suite_elapsed_ms = started.elapsed().as_millis() as u64;
+        let stats = engine.stats();
+        let timings = engine.take_timings();
+        let refs: u64 = timings.iter().map(|t| t.refs).sum();
+        // Suites the commands consume vs simulations actually run: the
+        // engine folds same-platform suites into one simulation.
         eprintln!(
-            "[engine: {} suites ({} jobs, {:.1}M refs) on {} threads, {:.1}s]",
+            "[engine: {} suites as {} simulations ({} jobs, {:.1}M refs) on {} threads, {:.1}s]",
             seen.len(),
-            engine.stats().jobs_executed,
+            stats.simulations_executed,
+            stats.jobs_executed,
             refs as f64 / 1e6,
             engine.threads(),
             started.elapsed().as_secs_f64()
         );
-        suite_elapsed_ms = started.elapsed().as_millis() as u64;
-        report_timings(&engine);
+        report_timings(&timings);
     }
 
     // The base suite feeds most exhibits; when it failed, each of them is
@@ -728,7 +732,7 @@ fn main() -> ExitCode {
     }
     // Suites executed outside the prefetch batch (normally none — the
     // prefetch covers every command — but kept exact regardless).
-    report_timings(&engine);
+    report_timings(&engine.take_timings());
 
     // Failed suites render as an ordinary table — last, so the surviving
     // exhibits above it keep their byte-identical positions in every

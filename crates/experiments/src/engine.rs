@@ -1,6 +1,6 @@
 //! The parallel experiment engine: a scoped-thread worker pool over a job
-//! graph of `(profile, RunOptions)` simulations, plus a [`SuiteCache`] so
-//! no identical suite is ever simulated twice in one process.
+//! graph of `(profile, simulation)` jobs, plus a [`SuiteCache`] so no
+//! identical suite is ever simulated twice in one process.
 //!
 //! # Why this exists
 //!
@@ -13,6 +13,22 @@
 //! simulations is a pure function of `(profile, RunOptions)`, so they are
 //! embarrassingly parallel; the engine flattens them into one job list and
 //! drains it with a fixed pool of scoped threads.
+//!
+//! # Simulate once, observe many
+//!
+//! Because filters are bystanders, the bank is not part of the simulated
+//! *platform*. Within one [`Engine::run_suites`] batch the engine groups
+//! the fresh requests by every [`RunOptions`] field except `specs` and
+//! simulates each platform once, with the union of the group's banks
+//! (deduplicated, in first-requested order); each suite's reports are
+//! then projected back out in its own bank order. This is the sweep's
+//! "filter axis is free" economy ([`crate::sweep`]) made the engine's
+//! general rule: `jetty-repro all` runs its 4-way base suite and both
+//! ablation suites as one simulation of a 27-filter bank (5 suites, 3
+//! simulations). Suite identity is unaffected — the cache key, the error
+//! memo, [`RunOptions::id`], store records and the failures table stay
+//! per suite — and a suite a `JETTY_FAULT` spec names is never folded
+//! ([`crate::fault`]), so an injected fault hits exactly that suite.
 //!
 //! # Determinism
 //!
@@ -33,15 +49,18 @@
 //! ([`Engine::with_deadline`], checked at chunk boundaries through a
 //! [`RunGate`]), or by panicking — panics are caught per job (in unwind
 //! builds; the release profile aborts by design) and reported through the
-//! job's result slot. When any job of a suite fails, the suite's shared
-//! cancellation flag stops its sibling jobs at their next chunk boundary:
-//! their partial results could never be used. Failed suites are never
-//! inserted into the [`SuiteCache`] — only complete suites are cached —
-//! but the *error* is memoized, so a doomed configuration is attempted
-//! once per process, not once per consumer. Lock poisoning degrades too:
-//! every engine mutex guards data that is structurally valid mid-panic
-//! (whole inserted values), so a poisoned lock is recovered, not
-//! propagated.
+//! job's result slot. When any job of a simulation fails, its shared
+//! cancellation flag stops the sibling jobs at their next chunk boundary:
+//! their partial results could never be used. A failed simulation fails
+//! every suite it served, each under its own id with the same error kind
+//! ([`JettyError::with_suite`]); the deadline stays a per-job budget, so
+//! a folded job (a larger bank) gets the same budget as any other job.
+//! Failed suites are never inserted into the [`SuiteCache`] — only
+//! complete suites are cached — but the *error* is memoized, so a doomed
+//! configuration is attempted once per process, not once per consumer.
+//! Lock poisoning degrades too: every engine mutex guards data that is
+//! structurally valid mid-panic (whole inserted values), so a poisoned
+//! lock is recovered, not propagated.
 //!
 //! # Caching
 //!
@@ -68,6 +87,7 @@ use jetty_sim::RunGate;
 use jetty_workloads::apps;
 
 use crate::error::JettyError;
+use crate::fault::Faults;
 use crate::runner::{run_app_gated, AppRun, AppTiming, RunOptions};
 
 /// One finished-or-failed suite, as returned by [`Engine::run_suites`].
@@ -134,14 +154,18 @@ impl SuiteCache {
 /// Monotonic counters describing what an [`Engine`] has done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Suites actually simulated to completion (cache misses).
+    /// Requested suites simulated to completion (cache misses), counted
+    /// per suite even when several were folded into one simulation.
     pub suites_executed: u64,
     /// Suite requests served from the cache (or coalesced with an
     /// identical request in the same batch, or answered from the
     /// memoized error of an earlier failed attempt).
     pub cache_hits: u64,
-    /// Individual `(profile, options)` simulation jobs attempted.
+    /// Individual `(profile, simulation)` jobs attempted.
     pub jobs_executed: u64,
+    /// Simulations attempted: one per platform of a batch, serving every
+    /// suite folded onto it (faulted suites run alone).
+    pub simulations_executed: u64,
     /// Suites whose execution failed (fault, deadline, or worker death);
     /// their errors are memoized, never their partial results.
     pub suites_failed: u64,
@@ -161,24 +185,133 @@ impl EngineStats {
     }
 }
 
-/// One `(application, suite)` simulation job in a batch's flattened graph.
+/// One `(application, simulation)` job in a batch's flattened graph.
 #[derive(Clone, Copy)]
 struct Job {
-    suite: usize,
+    sim: usize,
     app: usize,
+}
+
+/// One simulation of a batch: a platform run once with the union bank of
+/// every suite folded onto it (see the module docs).
+struct Simulation {
+    /// The platform plus the union bank, deduplicated in first-requested
+    /// order.
+    options: RunOptions,
+    /// Each served suite: its index in the batch, and for each entry of
+    /// its own bank the position of that spec in the union bank.
+    members: Vec<(usize, Vec<usize>)>,
+    /// Whether later suites of the same platform may fold onto this one.
+    foldable: bool,
+}
+
+impl Simulation {
+    /// A simulation of `options`' platform serving suite `index` alone.
+    fn new(index: usize, options: &RunOptions, foldable: bool) -> Self {
+        let mut sim =
+            Self { options: options.clone().with_specs(Vec::new()), members: Vec::new(), foldable };
+        sim.serve(index, options);
+        sim
+    }
+
+    /// Adds suite `index`: extends the union bank with the specs it lacks
+    /// and records the suite's projection.
+    fn serve(&mut self, index: usize, options: &RunOptions) {
+        let bank = &mut self.options.specs;
+        let projection = options
+            .specs
+            .iter()
+            .map(|spec| {
+                bank.iter().position(|s| s == spec).unwrap_or_else(|| {
+                    bank.push(*spec);
+                    bank.len() - 1
+                })
+            })
+            .collect();
+        self.members.push((index, projection));
+    }
+}
+
+/// Folds a batch of distinct suites into simulations: suites whose
+/// [`RunOptions`] agree on everything but the bank share one simulation
+/// of their union bank. A suite a `JETTY_FAULT` spec targets runs alone,
+/// exactly as requested, and so does every member of a fold whose union
+/// happens to carry a targeted id — an injected fault must hit only the
+/// suite it names.
+fn fold(suites: &[RunOptions], faults: &Faults) -> Vec<Simulation> {
+    let targeted = |options: &RunOptions| faults.is_active() && faults.targets_suite(&options.id());
+    let mut sims: Vec<Simulation> = Vec::new();
+    for (i, options) in suites.iter().enumerate() {
+        let foldable = !targeted(options);
+        let host = sims
+            .iter_mut()
+            .find(|sim| foldable && sim.foldable && same_platform(&sim.options, options));
+        match host {
+            Some(sim) => sim.serve(i, options),
+            None => sims.push(Simulation::new(i, options, foldable)),
+        }
+    }
+    if !faults.is_active() {
+        return sims;
+    }
+    let mut unfolded = Vec::with_capacity(sims.len());
+    for sim in sims {
+        if sim.members.len() > 1 && targeted(&sim.options) {
+            unfolded
+                .extend(sim.members.iter().map(|&(i, _)| Simulation::new(i, &suites[i], false)));
+        } else {
+            unfolded.push(sim);
+        }
+    }
+    unfolded
+}
+
+/// `true` when two suites simulate the same platform: every
+/// [`RunOptions`] field but the filter bank agrees (the destructuring
+/// makes a new field a compile error here until it is classified).
+fn same_platform(a: &RunOptions, b: &RunOptions) -> bool {
+    let RunOptions { cpus, scale, check, specs: _, non_subblocked, protocol } = a;
+    *cpus == b.cpus
+        && scale.to_bits() == b.scale.to_bits()
+        && *check == b.check
+        && *non_subblocked == b.non_subblocked
+        && *protocol == b.protocol
+}
+
+/// A suite's runs cut out of its simulation's union-bank runs: the shared
+/// platform data, and the reports at `projection`, in the suite's own
+/// bank order.
+fn project(runs: &[AppRun], projection: &[usize]) -> Vec<AppRun> {
+    runs.iter()
+        .map(|r| AppRun {
+            profile: r.profile.clone(),
+            footprint: r.footprint,
+            refs: r.refs,
+            run: r.run.clone(),
+            reports: projection.iter().map(|&k| r.reports[k].clone()).collect(),
+        })
+        .collect()
 }
 
 /// What one job deposits in its slot: its outcome plus wall-clock.
 type JobOutcome = (Result<(AppRun, AppTiming), JettyError>, Duration);
 
-/// Wall-clock attribution for one *executed* (cache-missing) suite:
-/// the summed wall-clock of its ten application jobs. Jobs of one suite
-/// may run on different workers, so this is cpu-time-like — with one
-/// worker it equals the suite's wall-clock exactly.
+/// Wall-clock attribution for one completed *simulation*: the summed
+/// wall-clock of its ten application jobs. One simulation may serve
+/// several folded suites (listed in `suites`), so summing these never
+/// counts shared work twice. Jobs of one simulation may run on different
+/// workers, so this is cpu-time-like — with one worker it equals the
+/// simulation's wall-clock exactly.
 #[derive(Clone, Debug)]
 pub struct SuiteTiming {
-    /// The options the suite ran under.
+    /// The options the simulation ran under: the shared platform and the
+    /// union bank of the suites it served.
     pub options: RunOptions,
+    /// [`RunOptions::id`]s of the requested suites this simulation
+    /// served, in request order.
+    pub suites: Vec<String>,
+    /// References simulated, summed over the jobs.
+    pub refs: u64,
     /// Summed per-job wall-clock.
     pub elapsed: Duration,
     /// Jobs executed (one per application).
@@ -189,12 +322,12 @@ pub struct SuiteTiming {
     /// Time the jobs spent simulating those chunks (summed across jobs;
     /// part of `elapsed`).
     pub sim: Duration,
-    /// Name of the replay-kernel level the suite ran with
+    /// Name of the replay-kernel level the simulation ran with
     /// (`"scalar"`/`"avx2"`, from [`jetty_core::kernels::active_level`]) —
     /// surfaced as the `kernel=` tag in `--timings` so timings from
     /// different hosts can be told apart.
     pub kernel: &'static str,
-    /// Effective intra-run shard count the suite's jobs replayed snoop
+    /// Effective intra-run shard count the simulation's jobs replayed snoop
     /// work with (after the oversubscription cap against the worker
     /// count) — surfaced as the `shards=` tag in `--timings`.
     pub shards: usize,
@@ -238,9 +371,11 @@ pub struct Engine {
     suites_executed: AtomicU64,
     cache_hits: AtomicU64,
     jobs_executed: AtomicU64,
+    simulations_executed: AtomicU64,
     suites_failed: AtomicU64,
-    /// Per-suite timings accumulated since the last [`Engine::take_timings`]
-    /// (completed suites only; cache hits and failures record nothing).
+    /// Per-simulation timings accumulated since the last
+    /// [`Engine::take_timings`] (completed simulations only; cache hits
+    /// and failures record nothing).
     timings: Mutex<Vec<SuiteTiming>>,
 }
 
@@ -261,6 +396,7 @@ impl Engine {
             suites_executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
+            simulations_executed: AtomicU64::new(0),
             suites_failed: AtomicU64::new(0),
             timings: Mutex::new(Vec::new()),
         }
@@ -380,9 +516,9 @@ impl Engine {
         &self.cache
     }
 
-    /// Drains the per-suite timings accumulated since the last call (the
-    /// `jetty-repro --timings` surface). Completed suites only: cache
-    /// hits and failed suites record no timing.
+    /// Drains the per-simulation timings accumulated since the last call
+    /// (the `jetty-repro --timings` surface). Completed simulations only:
+    /// cache hits and failed simulations record no timing.
     pub fn take_timings(&self) -> Vec<SuiteTiming> {
         std::mem::take(&mut *lock_recover(&self.timings))
     }
@@ -393,6 +529,7 @@ impl Engine {
             suites_executed: self.suites_executed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
+            simulations_executed: self.simulations_executed.load(Ordering::Relaxed),
             suites_failed: self.suites_failed.load(Ordering::Relaxed),
         }
     }
@@ -413,11 +550,11 @@ impl Engine {
     /// request order.
     ///
     /// Requests already in the cache are served from it; duplicate
-    /// requests within the batch are coalesced. Everything left is
-    /// flattened into one `(profile, options)` job list and drained by the
-    /// worker pool, so the 4-way, 8-way, non-subblocked and ablation
-    /// suites of `jetty-repro all` share a single pool instead of running
-    /// back to back.
+    /// requests within the batch are coalesced. Everything left is folded
+    /// into one simulation per platform (see the module docs), flattened
+    /// into one `(profile, simulation)` job list and drained by the worker
+    /// pool, so the suites of `jetty-repro all` share a single pool and
+    /// its three 4-way suites share one simulation.
     ///
     /// A failed suite comes back as `Err` without disturbing its batch
     /// mates; the error is memoized so later requests for the same key are
@@ -482,23 +619,27 @@ impl Engine {
             .unwrap_or_else(|| unreachable!("execute returns one result per suite"))
     }
 
-    /// Executes the job graph for `suites`, returning each suite's runs in
-    /// application order (or its first meaningful error) and logging one
-    /// [`SuiteTiming`] per completed suite.
+    /// Executes `suites`: folds them into simulations, drains the
+    /// flattened `(profile, simulation)` job graph, and returns each
+    /// suite's runs in application order, projected onto its own bank
+    /// (or its simulation's first meaningful error, attributed to the
+    /// suite), logging one [`SuiteTiming`] per completed simulation.
     fn execute(&self, suites: &[RunOptions]) -> Vec<Result<Vec<AppRun>, JettyError>> {
         if suites.is_empty() {
             return Vec::new();
         }
+        let sims = fold(suites, crate::fault::active());
         let profiles = apps::all();
-        let jobs: Vec<Job> = (0..suites.len())
-            .flat_map(|suite| (0..profiles.len()).map(move |app| Job { suite, app }))
+        let jobs: Vec<Job> = (0..sims.len())
+            .flat_map(|sim| (0..profiles.len()).map(move |app| Job { sim, app }))
             .collect();
 
-        // One cancellation flag per suite: the first failing job raises
-        // its suite's flag, and sibling jobs observe it at their next
-        // chunk boundary (their partial results could never be used).
+        // One cancellation flag per simulation: the first failing job
+        // raises its simulation's flag, and sibling jobs observe it at
+        // their next chunk boundary (their partial results could never
+        // be used).
         let cancels: Vec<Arc<AtomicBool>> =
-            suites.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
+            sims.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
         let shards = cap_shards(
             self.shards,
             self.threads,
@@ -506,12 +647,12 @@ impl Engine {
         );
         let run_job = |job: &Job| -> JobOutcome {
             let started = Instant::now();
-            let options = &suites[job.suite];
+            let options = &sims[job.sim].options;
             let gate = match self.deadline {
                 Some(budget) => RunGate::with_budget(budget),
                 None => RunGate::unbounded(),
             }
-            .with_cancel(Arc::clone(&cancels[job.suite]));
+            .with_cancel(Arc::clone(&cancels[job.sim]));
             // Panics are contained per job in unwind builds (tests, dev);
             // the release profile aborts on panic by design, so there a
             // panic remains what it always was: a process-fatal bug.
@@ -525,7 +666,7 @@ impl Engine {
                 ))
             });
             if result.is_err() {
-                cancels[job.suite].store(true, Ordering::Relaxed);
+                cancels[job.sim].store(true, Ordering::Relaxed);
             }
             (result, started.elapsed())
         };
@@ -535,21 +676,22 @@ impl Engine {
             // on the caller's thread.
             jobs.iter().map(run_job).collect()
         } else {
-            self.execute_parallel(suites, &jobs, &run_job)
+            self.execute_parallel(&sims, &jobs, &run_job)
         };
         self.jobs_executed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        self.simulations_executed.fetch_add(sims.len() as u64, Ordering::Relaxed);
 
         let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
-            suites.iter().map(|_| Ok(Vec::new())).collect();
-        let mut elapsed: Vec<Duration> = vec![Duration::ZERO; suites.len()];
-        let mut splits: Vec<AppTiming> = vec![AppTiming::default(); suites.len()];
+            sims.iter().map(|_| Ok(Vec::new())).collect();
+        let mut elapsed: Vec<Duration> = vec![Duration::ZERO; sims.len()];
+        let mut splits: Vec<AppTiming> = vec![AppTiming::default(); sims.len()];
         for (job, (outcome, took)) in jobs.iter().zip(outcomes) {
-            elapsed[job.suite] += took;
+            elapsed[job.sim] += took;
             match outcome {
                 Ok((run, split)) => {
-                    splits[job.suite].gen += split.gen;
-                    splits[job.suite].sim += split.sim;
-                    if let Ok(runs) = &mut out[job.suite] {
+                    splits[job.sim].gen += split.gen;
+                    splits[job.sim].sim += split.sim;
+                    if let Ok(runs) = &mut out[job.sim] {
                         runs.push(run);
                     }
                 }
@@ -557,7 +699,7 @@ impl Engine {
                     // First meaningful error wins: a Cancelled job only
                     // ever follows some other job's failure, so it never
                     // displaces the root cause.
-                    let slot = &mut out[job.suite];
+                    let slot = &mut out[job.sim];
                     let replace = match slot {
                         Ok(_) => true,
                         Err(JettyError::Cancelled { .. }) => {
@@ -571,24 +713,41 @@ impl Engine {
                 }
             }
         }
+
         let kernel = jetty_core::kernels::active_level().name();
+        let mut results: Vec<Option<Result<Vec<AppRun>, JettyError>>> =
+            suites.iter().map(|_| None).collect();
         let mut log = lock_recover(&self.timings);
-        for (suite, ((options, took), split)) in
-            suites.iter().zip(&elapsed).zip(&splits).enumerate()
-        {
-            if out[suite].is_ok() {
-                log.push(SuiteTiming {
-                    options: options.clone(),
-                    elapsed: *took,
-                    jobs: profiles.len(),
-                    gen: split.gen,
-                    sim: split.sim,
-                    kernel,
-                    shards,
-                });
+        for (((sim, outcome), took), split) in sims.into_iter().zip(out).zip(elapsed).zip(splits) {
+            match outcome {
+                Ok(runs) => {
+                    let refs = runs.iter().map(|r| r.refs).sum();
+                    for (i, projection) in &sim.members {
+                        results[*i] = Some(Ok(project(&runs, projection)));
+                    }
+                    log.push(SuiteTiming {
+                        suites: sim.members.iter().map(|&(i, _)| suites[i].id()).collect(),
+                        refs,
+                        options: sim.options,
+                        elapsed: took,
+                        jobs: profiles.len(),
+                        gen: split.gen,
+                        sim: split.sim,
+                        kernel,
+                        shards,
+                    });
+                }
+                Err(e) => {
+                    for &(i, _) in &sim.members {
+                        results[i] = Some(Err(e.clone().with_suite(suites[i].id())));
+                    }
+                }
             }
         }
-        out
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|| unreachable!("every suite is served by one simulation")))
+            .collect()
     }
 
     /// Drains `jobs` with a pool of scoped threads. Workers claim jobs
@@ -599,7 +758,7 @@ impl Engine {
     /// in unwind builds — degrades to a per-job error, never a panic.
     fn execute_parallel(
         &self,
-        suites: &[RunOptions],
+        sims: &[Simulation],
         jobs: &[Job],
         run_job: &(dyn Fn(&Job) -> JobOutcome + Sync),
     ) -> Vec<JobOutcome> {
@@ -620,7 +779,7 @@ impl Engine {
             .map(|(i, slot)| {
                 let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
                 outcome.unwrap_or_else(|| {
-                    let options = &suites[jobs[i].suite];
+                    let options = &sims[jobs[i].sim].options;
                     (
                         Err(JettyError::simulation(
                             options.id(),
@@ -742,6 +901,7 @@ fn resolve_deadline(env: Option<&str>) -> DeadlineDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::parse_fault_specs;
     use jetty_core::FilterSpec;
 
     /// Tiny bank + short traces so the whole module tests in seconds.
@@ -764,6 +924,130 @@ mod tests {
         assert_eq!(stats.suites_failed, 0);
         assert_eq!(engine.cache().len(), 1);
         assert_eq!(stats.hit_rate(), 0.5, "one hit out of two requests");
+    }
+
+    /// Asserts two suites' runs agree on everything a table reads.
+    fn assert_same_runs(a: &[AppRun], b: &[AppRun], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.profile.abbrev, y.profile.abbrev, "{what}");
+            assert_eq!((x.refs, x.footprint), (y.refs, y.footprint), "{what}");
+            assert_eq!(x.run, y.run, "{what}: RunStats");
+            assert_eq!(x.reports.len(), y.reports.len(), "{what}");
+            for (p, q) in x.reports.iter().zip(&y.reports) {
+                assert_eq!(p.label, q.label, "{what}");
+                assert_eq!(p.spec, q.spec, "{what}");
+                assert_eq!(
+                    (p.probes, p.filtered, p.would_miss),
+                    (q.probes, q.filtered, q.would_miss),
+                    "{what}: {}",
+                    p.label
+                );
+                assert_eq!(p.activities, q.activities, "{what}: {}", p.label);
+                assert_eq!(p.arrays, q.arrays, "{what}: {}", p.label);
+            }
+        }
+    }
+
+    /// Three banks on one platform, overlapping in one spec and sharing
+    /// IJ geometries, like the base and ablation suites of `all`.
+    fn same_platform_banks() -> Vec<RunOptions> {
+        let base = quick(0.002);
+        vec![
+            base.clone(),
+            base.clone().with_specs(vec![
+                FilterSpec::include(6, 5, 6),
+                FilterSpec::hybrid_scalar(6, 5, 6, 16, 2),
+            ]),
+            base.with_specs(vec![
+                FilterSpec::hybrid_scalar_eager(6, 5, 6, 16, 2),
+                FilterSpec::exclude(8, 2),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn same_platform_suites_fold_into_one_simulation() {
+        let suites = same_platform_banks();
+        let engine = Engine::new(2);
+        let results: Vec<_> = engine.run_suites(&suites).into_iter().map(Result::unwrap).collect();
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_executed, 10, "one simulation, not three");
+        assert_eq!(stats.simulations_executed, 1);
+        assert_eq!(stats.suites_executed, 3, "every requested suite still counts");
+        let timings = engine.take_timings();
+        assert_eq!(timings.len(), 1, "one timing per simulation");
+        assert_eq!(timings[0].suites, suites.iter().map(RunOptions::id).collect::<Vec<_>>());
+        assert_eq!(timings[0].options.specs.len(), 4, "union bank, deduplicated");
+        for (options, runs) in suites.iter().zip(&results) {
+            let alone = Engine::new(1).run_suite_uncached(options).unwrap();
+            assert_same_runs(runs, &alone, &options.id());
+        }
+        // Each suite is cached under its own key: a later batch hits.
+        let again = engine.run_suites(&suites[1..2]).pop().unwrap().unwrap();
+        assert!(Arc::ptr_eq(&again, &results[1]));
+        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(engine.stats().jobs_executed, 10);
+    }
+
+    #[test]
+    fn faulted_suites_and_faulted_unions_run_alone() {
+        let suites = same_platform_banks();
+        let served = |faults: &Faults| -> Vec<Vec<usize>> {
+            fold(&suites, faults)
+                .iter()
+                .map(|sim| sim.members.iter().map(|&(i, _)| i).collect())
+                .collect()
+        };
+        let faults = |spec: String| Faults::from_specs(parse_fault_specs(&spec).unwrap());
+        assert_eq!(served(&Faults::default()), vec![vec![0, 1, 2]]);
+        for kind in ["suite-fail@", "suite-panic@"] {
+            let faulted = faults(format!("{kind}{}", suites[1].id()));
+            assert_eq!(served(&faulted), vec![vec![0, 2], vec![1]], "{kind}");
+        }
+        let slow = faults(format!("slow-suite@{}:5", suites[0].id()));
+        assert_eq!(served(&slow), vec![vec![0], vec![1, 2]]);
+        // A fault naming the union bank itself must not fire on the fold.
+        let union = fold(&suites, &Faults::default()).remove(0).options;
+        assert_eq!(served(&faults(format!("suite-fail@{}", union.id()))), [[0], [1], [2]]);
+    }
+
+    #[test]
+    fn platform_differences_prevent_folding() {
+        let base = quick(0.002);
+        let other_bank = vec![FilterSpec::exclude(16, 2)];
+        let mut checked = base.clone().with_specs(other_bank.clone());
+        checked.check = true;
+        let variants = [
+            checked,
+            base.clone().with_specs(other_bank.clone()).with_cpus(8),
+            base.clone()
+                .with_specs(other_bank.clone())
+                .with_protocol(jetty_sim::ProtocolKind::Mesi),
+            base.clone().with_specs(other_bank).with_non_subblocked(true),
+        ];
+        for variant in variants {
+            let engine = Engine::new(2);
+            let results = engine.run_suites(&[base.clone(), variant.clone()]);
+            assert!(results.iter().all(Result::is_ok));
+            let stats = engine.stats();
+            assert_eq!(stats.simulations_executed, 2, "{}", variant.describe());
+            assert_eq!(stats.jobs_executed, 20, "{}", variant.describe());
+        }
+    }
+
+    #[test]
+    fn a_failed_folded_simulation_fails_each_suite_under_its_own_id() {
+        let suites = same_platform_banks();
+        let engine = Engine::new(2).with_deadline(Some(Duration::ZERO));
+        let results = engine.run_suites(&suites);
+        let kinds: Vec<&str> = results.iter().map(|r| r.as_ref().unwrap_err().kind()).collect();
+        assert!(kinds.iter().all(|k| *k == kinds[0]), "{kinds:?}");
+        for (options, result) in suites.iter().zip(&results) {
+            assert_eq!(result.as_ref().unwrap_err().suite(), Some(options.id().as_str()));
+        }
+        assert_eq!(engine.stats().suites_failed, 3);
+        assert!(engine.cache().is_empty());
     }
 
     #[test]

@@ -107,6 +107,19 @@ impl JettyError {
         }
     }
 
+    /// The same failure, attributed to `suite`: a folded simulation that
+    /// fails fails every suite it served, each under its own id with the
+    /// same kind and detail. Errors that belong to no suite are returned
+    /// unchanged.
+    pub fn with_suite(self, suite: impl Into<String>) -> Self {
+        match self {
+            Self::Simulation { message, .. } => Self::Simulation { suite: suite.into(), message },
+            Self::Deadline { budget_ms, .. } => Self::Deadline { suite: suite.into(), budget_ms },
+            Self::Cancelled { .. } => Self::Cancelled { suite: suite.into() },
+            other @ (Self::Store { .. } | Self::Config(_)) => other,
+        }
+    }
+
     /// The suite this error belongs to, when it belongs to one.
     pub fn suite(&self) -> Option<&str> {
         match self {
@@ -177,6 +190,22 @@ mod tests {
         assert!(d.detail().contains("250 ms"));
         let c = JettyError::Cancelled { suite: "s".into() };
         assert!(c.detail().contains("sibling"));
+    }
+
+    #[test]
+    fn with_suite_reattributes_suite_errors_only() {
+        let cases = [
+            JettyError::simulation("union", "boom"),
+            JettyError::Deadline { suite: "union".into(), budget_ms: 9 },
+            JettyError::Cancelled { suite: "union".into() },
+        ];
+        for e in cases {
+            let moved = e.clone().with_suite("member");
+            assert_eq!(moved.suite(), Some("member"));
+            assert_eq!((moved.kind(), moved.detail()), (e.kind(), e.detail()));
+        }
+        let store = JettyError::store("p", "m");
+        assert_eq!(store.clone().with_suite("member"), store);
     }
 
     #[test]

@@ -158,6 +158,15 @@ impl Faults {
         })
     }
 
+    /// Does any suite-level fault (`suite-fail`, `suite-panic` or
+    /// `slow-suite`) name this suite? The engine runs such a suite alone,
+    /// never folded with others, so the fault keeps hitting exactly it.
+    pub fn targets_suite(&self, suite_id: &str) -> bool {
+        self.suite_fail(suite_id)
+            || self.suite_panic(suite_id)
+            || self.slow_suite(suite_id).is_some()
+    }
+
     /// Should this append attempt of the `frame`-th store record (1-based)
     /// fail? Counted specs burn one failure per call, so a retrying writer
     /// eventually succeeds; uncounted specs fail every attempt.
@@ -268,6 +277,8 @@ mod tests {
         assert!(f.suite_panic("b") && !f.suite_panic("a"));
         assert_eq!(f.slow_suite("c"), Some(Duration::from_millis(7)));
         assert_eq!(f.slow_suite("a"), None);
+        assert!(["a", "b", "c"].iter().all(|id| f.targets_suite(id)));
+        assert!(!f.targets_suite("d"));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * **The filter axis is free.** Filters are bystanders (the paper's own
 //!   methodology), so every filter value of a platform point rides the
 //!   *same* simulation as one bank entry: a grid of `P` platform points ×
-//!   `F` filters costs `P` suites, not `P × F`.
+//!   `F` filters costs `P` suites, not `P × F`. The [`Engine`] applies the
+//!   same rule to every batch (it folds all suites of one platform into
+//!   one simulation), so a grid suite that shares its platform with
+//!   another suite of the invocation also shares its simulation.
 //! * **Suites are cache keys.** The grid expands to exactly the
 //!   [`RunOptions`] the [`SuiteCache`](crate::engine::SuiteCache) is keyed
 //!   by, so a sweep sharing points with other commands in the same

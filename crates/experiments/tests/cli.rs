@@ -105,7 +105,7 @@ fn timings_flag_reports_on_stderr_and_leaves_stdout_untouched() {
     // output contract.
     assert_eq!(with.stdout, without.stdout, "--timings changed stdout");
     let stderr = String::from_utf8_lossy(&with.stderr);
-    assert!(stderr.contains("[timing] suite"), "missing timing lines: {stderr}");
+    assert!(stderr.contains("[timing] simulation"), "missing timing lines: {stderr}");
     assert!(stderr.contains("cpus=4"), "timing line lacks suite description: {stderr}");
     assert!(stderr.contains("across 10 jobs"), "timing line lacks job count: {stderr}");
     // Each suite line splits its wall-clock into trace generation and
@@ -242,8 +242,39 @@ fn sweep_runs_a_two_axis_grid_with_observable_cache_reuse() {
     // 6 executions.
     assert!(stderr.contains("[sweep] grid"), "{stderr}");
     assert!(stderr.contains("6 hits / 12 requests (hit rate 50.0%)"), "{stderr}");
-    // --timings attributes wall-clock to exactly the 6 executed suites.
-    assert_eq!(stderr.matches("[timing] suite").count(), 6, "{stderr}");
+    // --timings attributes wall-clock to exactly the 6 executed suites,
+    // one simulation each (no two grid points share a platform).
+    assert_eq!(stderr.matches("[timing] simulation").count(), 6, "{stderr}");
+}
+
+#[test]
+fn all_folds_same_platform_suites_and_says_so() {
+    let out = repro(&["all", "--scale", "0.002", "--threads", "2", "--timings"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // The base, IJ-skip and HJ-policy suites share the 4-way MOESI
+    // platform: five suites, three simulations of ten jobs each.
+    assert!(stderr.contains("[engine: 5 suites as 3 simulations (30 jobs,"), "{stderr}");
+    // One timing line per simulation, each naming the suites it served.
+    let lines: Vec<&str> =
+        stderr.lines().filter(|l| l.starts_with("[timing] simulation")).collect();
+    assert_eq!(lines.len(), 3, "{stderr}");
+    let folded = lines
+        .iter()
+        .find(|l| l.contains("cpus=4") && l.contains("nsb=false"))
+        .unwrap_or_else(|| panic!("no 4-way subblocked simulation: {stderr}"));
+    assert!(folded.contains("bank=27"), "union bank of 22 + 4 + 1 new specs: {folded}");
+    assert!(
+        folded.ends_with(
+            "suites=cpus4-scale0.002-sb-moesi-paperbank22,\
+             cpus4-scale0.002-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8,\
+             cpus4-scale0.002-sb-moesi-hj-ij9x4x7-ej32x4+hj-ij9x4x7-ej32x4-eager"
+        ),
+        "{folded}"
+    );
+    for line in lines.iter().filter(|l| **l != *folded) {
+        assert_eq!(line.matches("-moesi-").count(), 1, "unfolded simulation: {line}");
+    }
 }
 
 #[test]

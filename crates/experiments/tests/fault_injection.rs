@@ -17,6 +17,11 @@ const SCALE: &str = "0.002";
 const BASE_SUITE: &str = "cpus4-scale0.002-sb-moesi-paperbank22";
 /// The cache key of the 8-way summary suite `all` also runs.
 const SMP8_SUITE: &str = "cpus8-scale0.002-sb-moesi-paperbank22";
+/// The IJ-skip ablation suite: same platform as the base suite, so the
+/// engine folds the two (and the HJ-policy suite) into one simulation.
+const IJ_SKIP_SUITE: &str = "cpus4-scale0.002-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8";
+/// The HJ-policy ablation suite, the third member of that fold.
+const HJ_POLICY_SUITE: &str = "cpus4-scale0.002-sb-moesi-hj-ij9x4x7-ej32x4+hj-ij9x4x7-ej32x4-eager";
 
 fn repro(fault: Option<&str>, args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_jetty-repro"));
@@ -216,4 +221,40 @@ fn a_fault_on_an_unrequested_suite_is_inert() {
     let faulted = repro(Some(&fault), &["table2", "--scale", SCALE]);
     assert_eq!(faulted.status.code(), Some(0));
     assert_eq!(faulted.stdout, clean.stdout, "inert fault changed stdout");
+}
+
+/// A fault on one suite of a same-platform fold: that suite runs alone
+/// and fails under its own id, while the suites it would have folded with
+/// still render byte-identically to the clean run.
+fn assert_fault_hits_only(fault: &str, suite: &str, lost_block: &str) {
+    let clean = repro(None, &["all", "--scale", SCALE, "--threads", "2"]);
+    assert_eq!(clean.status.code(), Some(0), "clean run must exit 0");
+    let partial = repro(Some(fault), &["all", "--scale", SCALE, "--threads", "2"]);
+    assert_eq!(partial.status.code(), Some(2), "stderr: {}", stderr(&partial));
+
+    let out = stdout(&partial);
+    let failures = out.split("== Failed suites").nth(1).unwrap_or_else(|| panic!("{out}"));
+    assert!(failures.contains(suite), "{failures}");
+    for other in [BASE_SUITE, SMP8_SUITE, IJ_SKIP_SUITE, HJ_POLICY_SUITE] {
+        if other != suite {
+            assert!(!failures.contains(other), "{other} must not fail: {failures}");
+        }
+    }
+    assert_eq!(
+        blocks_without(&stdout(&clean), &[lost_block]),
+        blocks_without(&out, &["Failed suites"]),
+        "surviving tables must be byte-identical"
+    );
+}
+
+#[test]
+fn a_failed_suite_of_a_fold_fails_alone() {
+    let fault = format!("suite-fail@{IJ_SKIP_SUITE}");
+    assert_fault_hits_only(&fault, IJ_SKIP_SUITE, "Ablation: IJ index overlap");
+}
+
+#[test]
+fn a_panicking_suite_of_a_fold_fails_alone() {
+    let fault = format!("suite-panic@{HJ_POLICY_SUITE}");
+    assert_fault_hits_only(&fault, HJ_POLICY_SUITE, "Ablation: HJ EJ-allocation policy");
 }

@@ -8,7 +8,7 @@
 //!
 //! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
-use jetty_core::{FilterEvent, MissScope, SnoopFilter, UnitAddr};
+use jetty_core::{FilterEvent, MissScope, UnitAddr};
 
 use crate::bus::{BusKind, SnoopResponse};
 use crate::protocol::CoherenceProtocol;
@@ -114,18 +114,7 @@ impl System {
             if self.batching {
                 node.events.push(FilterEvent::Snoop { unit, would_hit, scope });
             } else {
-                for f in &mut node.filters {
-                    let verdict = f.probe(unit);
-                    if verdict.is_filtered() {
-                        assert!(
-                            !would_hit,
-                            "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {i}",
-                            f.name()
-                        );
-                    } else if !would_hit {
-                        f.record_snoop_miss(unit, scope);
-                    }
-                }
+                node.filters.snoop(unit, would_hit, scope, i);
             }
         }
         if let Some(entry) = retired {
@@ -183,9 +172,7 @@ impl System {
                 if self.batching {
                     self.nodes[i].events.push(FilterEvent::Deallocate(unit));
                 } else {
-                    for f in &mut self.nodes[i].filters {
-                        f.on_deallocate(unit);
-                    }
+                    self.nodes[i].filters.on_deallocate(unit);
                 }
             }
         }

@@ -15,7 +15,7 @@
 //! The filter-safety assertion itself lives on the snoop path
 //! ([`bus`](super::bus)) and runs at every check level.
 
-use jetty_core::{SnoopFilter, UnitAddr};
+use jetty_core::UnitAddr;
 
 use crate::bus::SnoopResponse;
 use crate::moesi::Moesi;
@@ -118,15 +118,19 @@ impl System {
         }
     }
 
-    /// Verifies that every Include-Jetty in every bank exactly mirrors its
-    /// L2 population (tests; O(L2 size)).
+    /// Verifies that no filter in any bank filters a unit its L2 holds
+    /// (tests; O(L2 size)) — probing the live bank, so shared IJ states
+    /// are checked where every sharer reads them.
     pub fn verify_filter_consistency(&mut self) {
         for node in &mut self.nodes {
             let units: Vec<UnitAddr> = node.l2.valid_units().map(|(u, _)| u).collect();
-            for f in &mut node.filters {
-                for &u in &units {
-                    let v = f.probe(u);
-                    assert!(!v.is_filtered(), "{} filters cached unit {u}", f.name());
+            for &u in &units {
+                for (k, verdict) in node.filters.probe(u).into_iter().enumerate() {
+                    assert!(
+                        !verdict.is_filtered(),
+                        "{} filters cached unit {u}",
+                        node.filters.name(k)
+                    );
                 }
             }
         }

@@ -8,7 +8,7 @@
 //!
 //! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
-use jetty_core::{FilterEvent, SnoopFilter, UnitAddr};
+use jetty_core::{FilterEvent, UnitAddr};
 
 use crate::bus::BusKind;
 use crate::l1::L1Lookup;
@@ -232,17 +232,13 @@ impl System {
             if self.batching {
                 self.nodes[cpu].events.push(FilterEvent::Deallocate(ev.unit));
             } else {
-                for f in &mut self.nodes[cpu].filters {
-                    f.on_deallocate(ev.unit);
-                }
+                self.nodes[cpu].filters.on_deallocate(ev.unit);
             }
         }
         if self.batching {
             self.nodes[cpu].events.push(FilterEvent::Allocate(unit));
         } else {
-            for f in &mut self.nodes[cpu].filters {
-                f.on_allocate(unit);
-            }
+            self.nodes[cpu].filters.on_allocate(unit);
         }
         self.evict_scratch = evicted;
     }

@@ -59,7 +59,7 @@ mod check;
 mod local;
 mod node;
 
-use jetty_core::{AddrSpace, FilterSpec, SnoopFilter};
+use jetty_core::{AddrSpace, FilterBank, FilterSpec};
 
 use crate::bus::BusKind;
 use crate::config::SystemConfig;
@@ -200,7 +200,7 @@ impl System {
                 l1: L1Cache::new(config.l1),
                 l2: L2Cache::new(config.l2),
                 wb: WritebackBuffer::new(config.wb_entries),
-                filters: specs.iter().map(|s| s.build_any(space)).collect(),
+                filters: FilterBank::new(specs, space),
                 stats: NodeStats::default(),
                 events: Vec::new(),
             })
@@ -298,8 +298,8 @@ impl System {
     /// whose state depends only on the ordered event stream each one
     /// receives — so during the chunk the snoop path logs compact
     /// per-node [`jetty_core::FilterEvent`]s, and the end-of-chunk flush
-    /// replays each node's list through each filter in turn
-    /// (`AnyFilter::apply_batch`). One filter's arrays stay cache-resident
+    /// replays each node's list through its bank
+    /// ([`FilterBank::apply_batch`]). One filter's arrays stay cache-resident
     /// across thousands of events instead of the whole bank thrashing per
     /// snoop, and the replay is exactly equivalent to the eager calls —
     /// same order, same states, same activity counters.
@@ -347,9 +347,9 @@ impl System {
     }
 
     /// Replays every node's deferred filter events through its bank,
-    /// filter-major: the `AnyFilter` variant dispatch is hoisted outside
-    /// the event loop and each filter's probe/filtered counters are
-    /// accumulated in registers and charged once per batch.
+    /// filter-major: the variant dispatch is hoisted outside the event
+    /// loop and each filter's probe/filtered counters are accumulated in
+    /// registers and charged once per batch.
     ///
     /// With `shards > 1` the nodes are partitioned into contiguous
     /// slices and each slice replays on its own scoped worker thread
@@ -372,9 +372,7 @@ impl System {
                 if node.events.is_empty() {
                     continue;
                 }
-                for f in &mut node.filters {
-                    f.apply_batch(level, &node.events, base + off);
-                }
+                node.filters.apply_batch(level, &node.events, base + off);
                 node.events.clear();
             }
             Ok(())
@@ -454,12 +452,11 @@ impl System {
             .iter()
             .enumerate()
             .map(|(k, spec)| {
-                let activities: Vec<_> =
-                    self.nodes.iter().map(|n| n.filters[k].activity()).collect();
+                let activities: Vec<_> = self.nodes.iter().map(|n| n.filters.activity(k)).collect();
                 let probes = activities.iter().map(|a| a.probes).sum();
                 let filtered = activities.iter().map(|a| a.filtered).sum();
-                let arrays = self.nodes[0].filters[k].arrays();
-                let storage_bits = self.nodes[0].filters[k].storage_bits();
+                let arrays = self.nodes[0].filters.arrays(k);
+                let storage_bits = self.nodes[0].filters.storage_bits(k);
                 FilterReport {
                     spec: *spec,
                     label: spec.label(),

@@ -2,7 +2,7 @@
 //! helpers. Everything that needs cross-node or bus context lives in
 //! [`local`](super::local) and [`bus`](super::bus) instead.
 
-use jetty_core::{AnyFilter, FilterEvent, UnitAddr};
+use jetty_core::{FilterBank, FilterEvent, UnitAddr};
 
 use crate::l1::L1Cache;
 use crate::l2::L2Cache;
@@ -11,14 +11,14 @@ use crate::wb::{WbEntry, WritebackBuffer};
 
 /// One SMP node.
 ///
-/// The filter bank is stored as concrete [`AnyFilter`] values — one
-/// contiguous allocation, statically dispatched probes — because every bus
-/// snoop walks the whole bank (see `jetty_core::AnyFilter`).
+/// The filter bank is a [`FilterBank`]: concrete filter values with
+/// statically dispatched probes, because every bus snoop walks the whole
+/// bank, and one live IJ state per distinct IJ geometry.
 pub(super) struct Node {
     pub(super) l1: L1Cache,
     pub(super) l2: L2Cache,
     pub(super) wb: WritebackBuffer,
-    pub(super) filters: Vec<AnyFilter>,
+    pub(super) filters: FilterBank,
     pub(super) stats: NodeStats,
     /// Filter notifications deferred during a batched chunk
     /// ([`System::run_chunk`](super::System::run_chunk)): the protocol path

@@ -119,6 +119,39 @@ proptest! {
         }
     }
 
+    /// One IJ geometry shared by a standalone IJ, an EJ hybrid and a VEJ
+    /// hybrid (one live IJ state per node), next to the eager twin that
+    /// keeps a private IJ: batched replay must still match the per-event
+    /// path, and every member must report exactly what it reports alone
+    /// in a bank of one (where nothing can be shared).
+    #[test]
+    fn shared_ij_bank_batched_equals_scalar_and_unshared(
+        refs in prop::collection::vec(ref_strategy(4, 4096), 1..300),
+        chunk_len in 1usize..96,
+    ) {
+        let bank = shared_ij_bank();
+        for protocol in ProtocolKind::ALL {
+            assert_batched_matches_scalar(&refs, chunk_len, protocol, &bank, 64);
+            let mut shared = System::new(tiny_config(4, protocol), &bank);
+            for chunk in refs.chunks(chunk_len) {
+                shared.run_chunk(chunk);
+            }
+            for (spec, report) in bank.iter().zip(shared.filter_reports()) {
+                let mut alone = System::new(tiny_config(4, protocol), &[*spec]);
+                for chunk in refs.chunks(chunk_len) {
+                    alone.run_chunk(chunk);
+                }
+                let solo = &alone.filter_reports()[0];
+                prop_assert_eq!(&report.label, &solo.label);
+                prop_assert_eq!(
+                    (report.probes, report.filtered, report.would_miss),
+                    (solo.probes, solo.filtered, solo.would_miss)
+                );
+                prop_assert_eq!(&report.activities, &solo.activities, "{}", report.label);
+            }
+        }
+    }
+
     /// An empty filter bank takes the scalar fallback inside `run_chunk`;
     /// the protocol path must still be identical to `apply`.
     #[test]
@@ -128,6 +161,19 @@ proptest! {
     ) {
         assert_batched_matches_scalar(&refs, chunk_len, ProtocolKind::Moesi, &[], 32);
     }
+}
+
+/// A bank whose standalone IJ, EJ hybrid and VEJ hybrid all share the
+/// IJ-8x4x7 geometry, plus the eager-allocation twin (private IJ) and an
+/// unrelated EJ.
+fn shared_ij_bank() -> Vec<FilterSpec> {
+    vec![
+        FilterSpec::include(8, 4, 7),
+        FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
+        FilterSpec::exclude(8, 2),
+        FilterSpec::hybrid_vector(8, 4, 7, 32, 4, 8),
+        FilterSpec::hybrid_scalar_eager(8, 4, 7, 16, 2),
+    ]
 }
 
 /// Under `CheckLevel::Full`, `run_chunk` must fall back to scalar probing
@@ -148,4 +194,7 @@ fn full_check_runs_still_verify_through_run_chunk() {
     sys.run_chunk(&refs);
     sys.verify_inclusion();
     sys.verify_filter_consistency();
+    let mut shared = System::new(config, &shared_ij_bank());
+    shared.run_chunk(&refs);
+    shared.verify_filter_consistency();
 }

@@ -132,6 +132,30 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One IJ geometry shared by a standalone IJ, an EJ hybrid and a VEJ
+    /// hybrid (one live IJ state per node), next to the eager twin with
+    /// its private IJ: shard workers each replay whole nodes, shared
+    /// state included, so any shard count must match the serial run.
+    #[test]
+    fn shared_ij_bank_sharded_equals_serial(
+        refs in prop::collection::vec(ref_strategy(8, 4096), 1..300),
+        chunk_len in 1usize..64,
+    ) {
+        let bank = [
+            FilterSpec::include(8, 4, 7),
+            FilterSpec::hybrid_scalar(8, 4, 7, 16, 2),
+            FilterSpec::hybrid_vector(8, 4, 7, 32, 4, 8),
+            FilterSpec::hybrid_scalar_eager(8, 4, 7, 16, 2),
+        ];
+        for protocol in ProtocolKind::ALL {
+            assert_shards_match_serial(&refs, chunk_len, 8, protocol, &bank, 64);
+        }
+    }
+}
+
 /// A gated sharded run that expires mid-trace must report the stop instead
 /// of deadlocking or merging partial work silently — and the same system
 /// keeps working if resumed with an unbounded gate (shard workers check

@@ -60,27 +60,38 @@ echo "==> fault matrix: cargo test -q -p jetty-experiments --test fault_injectio
 cargo test -q -p jetty-experiments --test fault_injection
 
 echo "==> fault smoke: one injected suite failure must degrade gracefully"
-# The 8-way suite of `all` is killed by the fault harness; the invocation
+# Each leg kills one suite of `all` with the fault harness; the invocation
 # must exit with the partial code (2), keep every surviving table
 # byte-identical to the golden file, and report the failure in a final
-# failures table. (suite-fail, not suite-panic: the release profile
-# aborts on panic, so panic containment is proven by the fault-matrix
-# test above, which spawns the unwinding test-profile binary.)
-FAULT_DIR=$(mktemp -d)
-set +e
-JETTY_FAULT=suite-fail@cpus8-scale0.02-sb-moesi-paperbank22 \
-  target/release/jetty-repro all --scale 0.02 --threads 2 >"$FAULT_DIR/partial.txt"
-FAULT_EXIT=$?
-set -e
-[ "$FAULT_EXIT" -eq 2 ] || { echo "fault smoke: want exit 2, got $FAULT_EXIT"; exit 1; }
-grep -q "== Failed suites" "$FAULT_DIR/partial.txt"
-grep -q "injected fault: suite-fail" "$FAULT_DIR/partial.txt"
-# Strip the failed 8-way block from the golden file and the failures
-# block from the partial output: the remainder must match byte for byte.
-awk '/^== /{keep = !/8-way SMP summary/} keep' tests/golden/all_scale002.txt >"$FAULT_DIR/golden-surviving.txt"
-awk '/^== /{keep = !/Failed suites/} keep' "$FAULT_DIR/partial.txt" >"$FAULT_DIR/partial-surviving.txt"
-diff -u "$FAULT_DIR/golden-surviving.txt" "$FAULT_DIR/partial-surviving.txt"
-rm -rf "$FAULT_DIR"
+# failures table. Leg 1 fails the 8-way suite; leg 2 fails the IJ-skip
+# ablation, which the engine would otherwise fold into one simulation with
+# the base and HJ-policy suites (same 4-way platform) — a faulted suite
+# runs alone, so its failure must not touch its would-be fold mates.
+# (suite-fail, not suite-panic: the release profile aborts on panic, so
+# panic containment is proven by the fault-matrix test above, which
+# spawns the unwinding test-profile binary.)
+for leg in \
+  "cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary" \
+  "cpus4-scale0.02-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8|Ablation: IJ index overlap"; do
+  FAULT_SUITE=${leg%%|*}
+  FAULT_BLOCK=${leg#*|}
+  echo "    suite-fail@$FAULT_SUITE"
+  FAULT_DIR=$(mktemp -d)
+  set +e
+  JETTY_FAULT=suite-fail@$FAULT_SUITE \
+    target/release/jetty-repro all --scale 0.02 --threads 2 >"$FAULT_DIR/partial.txt"
+  FAULT_EXIT=$?
+  set -e
+  [ "$FAULT_EXIT" -eq 2 ] || { echo "fault smoke: want exit 2, got $FAULT_EXIT"; exit 1; }
+  grep -q "== Failed suites" "$FAULT_DIR/partial.txt"
+  grep -q "injected fault: suite-fail" "$FAULT_DIR/partial.txt"
+  # Strip the failed suite's block from the golden file and the failures
+  # block from the partial output: the remainder must match byte for byte.
+  awk -v drop="$FAULT_BLOCK" '/^== /{keep = ($0 !~ drop)} keep' tests/golden/all_scale002.txt >"$FAULT_DIR/golden-surviving.txt"
+  awk '/^== /{keep = !/Failed suites/} keep' "$FAULT_DIR/partial.txt" >"$FAULT_DIR/partial-surviving.txt"
+  diff -u "$FAULT_DIR/golden-surviving.txt" "$FAULT_DIR/partial-surviving.txt"
+  rm -rf "$FAULT_DIR"
+done
 
 echo "==> strict store listing: tail damage is an error under --strict"
 STRICT_DIR=$(mktemp -d)
