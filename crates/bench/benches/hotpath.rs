@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use jetty_core::{kernels, AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, UnitAddr};
+use jetty_core::{AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, UnitAddr};
 use jetty_sim::{FastMap, L2Cache, L2Config, Moesi};
 use jetty_workloads::{apps, TraceGen};
 
@@ -183,8 +183,9 @@ fn batch_probe_benches(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(events.len() as u64));
 
-    // One batched replay through each paper filter family: the chunk-flush
-    // inner loop `run_chunk` defers to. Steady-state by design — the
+    // One `FilterBank::apply_batch` replay through a one-member bank of
+    // each paper filter family: the chunk-flush inner loop `run_chunk`
+    // defers to. Steady-state by design — the
     // filter's arrays stay resident across iterations, exactly as they do
     // across consecutive chunks of one application.
     let cases = [
@@ -196,7 +197,7 @@ fn batch_probe_benches(c: &mut Criterion) {
         let mut bank = FilterBank::new(&[spec], AddrSpace::default());
         group.bench_function(name, |b| {
             b.iter(|| {
-                bank.apply_batch(kernels::active_level(), &events, 1);
+                bank.apply_batch(&events, 1);
             })
         });
     }

@@ -8,10 +8,10 @@
 //! allocate/deallocate stream — snoops and `record_snoop_miss` never
 //! change it — so every standalone IJ and every backup-policy hybrid of
 //! one [`IncludeConfig`] would hold the *same* counters and p-bits. The
-//! bank keeps exactly one live IJ per distinct geometry, replays it once
-//! per chunk, and hands its per-event verdict slice to each backup
-//! hybrid's EJ/VEJ pass. The paper bank's 5 standalone IJs and 7 hybrids
-//! thereby replay 5 IJ states instead of 12.
+//! bank keeps exactly one live IJ per distinct geometry, steps it once per
+//! event, and hands its verdict to each backup hybrid's EJ/VEJ step. The
+//! paper bank's 5 standalone IJs and 7 hybrids thereby step 5 IJ states
+//! instead of 12.
 //!
 //! Per-filter activity is unchanged by the sharing: every IJ charge is
 //! derived from counts the shared state accumulates identically for each
@@ -20,18 +20,25 @@
 //! `guarantees_absent` reads charge *extra* p-bit reads to its IJ — it
 //! keeps a private IJ so those charges stay its own.
 //!
-//! Sharing is decided here, when the bank is built, and nowhere else:
-//! the batched flush ([`FilterBank::apply_batch`]), the per-event path
-//! ([`FilterBank::snoop`] and friends) and the consistency check
-//! ([`FilterBank::probe`]) all read the one live state, so no mode exists
-//! in which a copy could drift.
+//! Replay is event-major: each event steps every shared IJ, then every
+//! member in bank order, through one fused step per filter kind — for an
+//! EJ/VEJ a single set lookup that probes, stamps the LRU clock and
+//! records. Each filter's update is a serial dependency chain (its LRU
+//! clock, and the stamps and keys of one set); stepping a bank's
+//! independent filters side by side per event lets an out-of-order core
+//! overlap those chains, where a pass per filter would run them one after
+//! another. The batched flush ([`FilterBank::apply_batch`]) is just a loop
+//! over the per-event entry points ([`FilterBank::snoop`],
+//! [`FilterBank::on_allocate`], [`FilterBank::on_deallocate`]), so both
+//! paths run the same steps, and the consistency check
+//! ([`FilterBank::probe`]) reads the same live states: no mode exists in
+//! which a copy could drift.
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::exclude::ExcludeJetty;
 use crate::filter::{ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter, Verdict};
 use crate::hybrid::{EjAllocation, ExcludeSide, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
-use crate::kernels::SimdLevel;
 use crate::null::NullFilter;
 use crate::spec::FilterSpec;
 use crate::vector_exclude::VectorExcludeJetty;
@@ -60,18 +67,13 @@ pub struct FilterBank {
     members: Vec<Member>,
 }
 
-/// The one live IJ state of a geometry, with what its users read from the
-/// chunk or snoop in flight.
+/// The one live IJ state of a geometry, with its verdict for the snoop
+/// in flight.
 #[derive(Clone, Debug)]
 struct SharedInclude {
     ij: IncludeJetty,
-    /// Per-event verdicts of the chunk being flushed (`true` only for
-    /// IJ-filtered snoops); `Some` only when a backup hybrid reads them.
-    verdicts: Option<Vec<bool>>,
-    /// The chunk's first unsafe snoop, reported by a standalone IJ user.
-    unsafe_at: Option<usize>,
-    /// The verdict of the snoop in flight on the per-event path.
-    verdict: Verdict,
+    /// Whether the IJ filtered the snoop in flight; its users read it.
+    filtered: bool,
 }
 
 /// One bank member. IJ users hold an index into `FilterBank::includes`.
@@ -97,23 +99,12 @@ impl FilterBank {
     /// distinct [`IncludeConfig`].
     pub fn new(specs: &[FilterSpec], space: AddrSpace) -> Self {
         let mut includes: Vec<SharedInclude> = Vec::new();
-        let mut shared = |config: IncludeConfig, verdicts: bool| {
-            let k = match includes.iter().position(|s| s.ij.config() == config) {
-                Some(k) => k,
-                None => {
-                    includes.push(SharedInclude {
-                        ij: IncludeJetty::new(config, space),
-                        verdicts: None,
-                        unsafe_at: None,
-                        verdict: Verdict::MaybeCached,
-                    });
-                    includes.len() - 1
-                }
-            };
-            if verdicts {
-                includes[k].verdicts.get_or_insert_with(Vec::new);
+        let mut shared = |config: IncludeConfig| {
+            if let Some(k) = includes.iter().position(|s| s.ij.config() == config) {
+                return k;
             }
-            k
+            includes.push(SharedInclude { ij: IncludeJetty::new(config, space), filtered: false });
+            includes.len() - 1
         };
         let members = specs
             .iter()
@@ -123,9 +114,9 @@ impl FilterBank {
                 FilterSpec::VectorExclude(c) => {
                     Member::VectorExclude(VectorExcludeJetty::new(c, space))
                 }
-                FilterSpec::Include(c) => Member::Include(shared(c, false)),
+                FilterSpec::Include(c) => Member::Include(shared(c)),
                 FilterSpec::Hybrid(c) if c.ej_allocation == EjAllocation::Backup => {
-                    Member::Hybrid(shared(c.include, true), ExcludeSide::new(c, space))
+                    Member::Hybrid(shared(c.include), ExcludeSide::new(c, space))
                 }
                 FilterSpec::Hybrid(c) => Member::Eager(HybridJetty::new(c, space)),
             })
@@ -143,62 +134,53 @@ impl FilterBank {
         self.members.is_empty()
     }
 
-    /// Replays a node's deferred event chunk through the bank — exactly
-    /// equivalent to the per-event calls, member by member. Each shared
-    /// IJ replays once ([`crate::kernels::ij_replay`]); then each member
-    /// replays in bank order, backup hybrids reading their IJ's verdict
-    /// slice. `level` picks the replay kernels (a run passes
-    /// [`kernels::active_level`](crate::kernels::active_level);
-    /// differential tests pass both). `node` only labels the
-    /// filter-safety panic, which names the first unsafe member in bank
-    /// order.
-    pub fn apply_batch(&mut self, level: SimdLevel, events: &[FilterEvent], node: usize) {
-        for shared in &mut self.includes {
-            shared.unsafe_at =
-                shared.ij.replay_events(level, events, shared.verdicts.as_mut()).unsafe_at;
-        }
-        for member in &mut self.members {
-            match member {
-                Member::Null(f) => f.apply_batch(events),
-                Member::Exclude(f) => f.apply_batch(level, events, node),
-                Member::VectorExclude(f) => f.apply_batch(level, events, node),
-                Member::Include(k) => {
-                    let shared = &self.includes[*k];
-                    if let Some(bad) = shared.unsafe_at {
-                        crate::filter::unsafe_filter(&shared.ij.name(), events, bad, node);
-                    }
+    /// Replays a node's deferred event chunk through the bank, event by
+    /// event through the per-event entry points — exactly the calls the
+    /// substrate would have made eagerly. `node` only labels the
+    /// filter-safety panic (see [`FilterBank::snoop`]).
+    pub fn apply_batch(&mut self, events: &[FilterEvent], node: usize) {
+        for &event in events {
+            match event {
+                FilterEvent::Snoop { unit, would_hit, scope } => {
+                    self.snoop(unit, would_hit, scope, node)
                 }
-                Member::Hybrid(k, side) => {
-                    let verdicts = self.includes[*k].verdicts.as_deref().unwrap_or_default();
-                    side.replay(level, events, verdicts, node);
-                }
-                Member::Eager(f) => f.apply_batch(level, events, node),
+                FilterEvent::Allocate(unit) => self.on_allocate(unit),
+                FilterEvent::Deallocate(unit) => self.on_deallocate(unit),
             }
         }
     }
 
-    /// The per-event twin of a snoop [`FilterEvent`]: every member probes
-    /// `unit` (each shared IJ once), a filtered snoop to a cached unit
-    /// (`would_hit`) panics naming the member and `node`, and members
-    /// that failed to filter a genuine miss learn it with `scope`.
+    /// A snoop to `unit` on `node`: each shared IJ steps once, then each
+    /// member in bank order steps through its kind's fused step — probe
+    /// and, for a genuine block-scope miss it did not filter, record.
+    /// A member that filters a snoop to a cached unit (`would_hit`)
+    /// panics with the UNSAFE FILTER message naming it, the unit and
+    /// `node`. Replay is in event order, so the panic names the earliest
+    /// offending event, and the first offending member in bank order.
+    #[inline]
     pub fn snoop(&mut self, unit: UnitAddr, would_hit: bool, scope: MissScope, node: usize) {
-        self.probe_includes(unit);
-        for k in 0..self.members.len() {
-            if self.probe_member(k, unit).is_filtered() {
-                assert!(
-                    !would_hit,
-                    "UNSAFE FILTER: {} filtered a snoop to cached unit {unit} on node {node}",
-                    self.name(k)
-                );
-            } else if !would_hit {
-                match &mut self.members[k] {
-                    Member::Null(_) | Member::Include(_) => {}
-                    Member::Exclude(f) => f.record_snoop_miss(unit, scope),
-                    Member::VectorExclude(f) => f.record_snoop_miss(unit, scope),
-                    Member::Hybrid(_, side) => side.record_snoop_miss(unit, scope),
-                    Member::Eager(f) => f.record_snoop_miss(unit, scope),
-                }
+        for shared in &mut self.includes {
+            shared.filtered = shared.ij.snoop_step(unit);
+        }
+        let learn = !would_hit && scope == MissScope::Block;
+        let includes = &self.includes;
+        let mut offender = None;
+        for (k, member) in self.members.iter_mut().enumerate() {
+            let filtered = match member {
+                Member::Null(f) => f.probe(unit).is_filtered(),
+                Member::Exclude(f) => f.snoop_step(unit, learn),
+                Member::VectorExclude(f) => f.snoop_step(unit, learn),
+                Member::Include(i) => includes[*i].filtered,
+                Member::Hybrid(i, side) => side.snoop_step(unit, includes[*i].filtered, learn),
+                Member::Eager(f) => f.snoop_step(unit, would_hit, scope),
+            };
+            if filtered && would_hit {
+                offender = Some(k);
+                break;
             }
+        }
+        if let Some(k) = offender {
+            crate::filter::unsafe_filter(&self.name(k), unit, node);
         }
     }
 
@@ -212,6 +194,7 @@ impl FilterBank {
 
     /// The local L2 gained `unit`: every member (each shared IJ once)
     /// learns it.
+    #[inline]
     pub fn on_allocate(&mut self, unit: UnitAddr) {
         for shared in &mut self.includes {
             shared.ij.on_allocate(unit);
@@ -227,19 +210,17 @@ impl FilterBank {
         }
     }
 
-    /// The local L2 lost `unit`: every member (each shared IJ once)
-    /// learns it.
+    /// The local L2 lost `unit`: every IJ state (each shared IJ once, and
+    /// each eager hybrid's private one) learns it. Exclude parts never
+    /// change on a deallocate.
+    #[inline]
     pub fn on_deallocate(&mut self, unit: UnitAddr) {
         for shared in &mut self.includes {
             shared.ij.on_deallocate(unit);
         }
         for member in &mut self.members {
-            match member {
-                Member::Null(_) | Member::Include(_) => {}
-                Member::Exclude(f) => f.on_deallocate(unit),
-                Member::VectorExclude(f) => f.on_deallocate(unit),
-                Member::Hybrid(_, side) => side.on_deallocate(unit),
-                Member::Eager(f) => f.on_deallocate(unit),
+            if let Member::Eager(f) = member {
+                f.on_deallocate(unit);
             }
         }
     }
@@ -289,7 +270,7 @@ impl FilterBank {
     /// Probes each shared IJ once for the snoop in flight.
     fn probe_includes(&mut self, unit: UnitAddr) {
         for shared in &mut self.includes {
-            shared.verdict = shared.ij.probe(unit);
+            shared.filtered = shared.ij.probe(unit).is_filtered();
         }
     }
 
@@ -300,8 +281,9 @@ impl FilterBank {
             Member::Null(f) => f.probe(unit),
             Member::Exclude(f) => f.probe(unit),
             Member::VectorExclude(f) => f.probe(unit),
-            Member::Include(i) => self.includes[*i].verdict,
-            Member::Hybrid(i, side) => side.probe(unit, self.includes[*i].verdict.is_filtered()),
+            Member::Include(i) if self.includes[*i].filtered => Verdict::NotCached,
+            Member::Include(_) => Verdict::MaybeCached,
+            Member::Hybrid(i, side) => side.probe(unit, self.includes[*i].filtered),
             Member::Eager(f) => f.probe(unit),
         }
     }
@@ -374,7 +356,7 @@ mod tests {
         let mut bank = FilterBank::new(&shared_geometry_bank(), AddrSpace::default());
         let lie =
             FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
-        bank.apply_batch(crate::kernels::active_level(), &[lie], 3);
+        bank.apply_batch(&[lie], 3);
     }
 
     #[test]
@@ -386,7 +368,7 @@ mod tests {
             FilterBank::new(&[FilterSpec::hybrid_scalar(9, 4, 7, 32, 4)], AddrSpace::default());
         let lie =
             FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
-        bank.apply_batch(crate::kernels::active_level(), &[lie], 2);
+        bank.apply_batch(&[lie], 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, EjGeom, SimdLevel};
+use crate::kernels::{find_way, lru_victim};
 
 /// Configuration for an [`ExcludeJetty`], the paper's `EJ-SxA` naming.
 ///
@@ -191,87 +191,65 @@ impl ExcludeJetty {
     }
 
     /// Flat index of the way holding `tag` in `set`, if any. Scans keys
-    /// only ([`EMPTY_KEY`] can never alias a real tag). The scan is
-    /// branchless — every way is compared and the match selected with a
-    /// conditional move — because the matching way's position is
-    /// data-dependent: an early-exit scan mispredicts on nearly every hit,
-    /// and sets are at most a few ways wide anyway. Tags are unique within
-    /// a set (records only insert after a failed find), so scan order
-    /// cannot change the answer.
+    /// only ([`EMPTY_KEY`] can never alias a real tag), branch-free
+    /// ([`find_way`]).
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        let keys = &self.keys[base..base + self.config.ways];
-        let mut found = usize::MAX;
-        for (way, &k) in keys.iter().enumerate().rev() {
-            if k >> 1 == tag {
-                found = base + way;
+        let range = self.set_range(set);
+        find_way(&self.keys[range.clone()], |k| k >> 1 == tag).map(|way| range.start + way)
+    }
+
+    /// One snoop, fused into a single set lookup: the
+    /// [`probe`](SnoopFilter::probe) and, when `learn` and the probe did
+    /// not filter, the [`record_snoop_miss`](SnoopFilter::record_snoop_miss)
+    /// of a block-scope miss, with the same clock ticks, stamps and
+    /// counters as that pair. `learn` says the miss is recordable: the L2
+    /// would miss the whole block and nothing else filtered the snoop.
+    /// Returns whether this filter filtered it. This is the per-event
+    /// step of [`FilterBank`](crate::FilterBank) replay.
+    #[inline]
+    pub(crate) fn snoop_step(&mut self, addr: UnitAddr, learn: bool) -> bool {
+        match self.config.ways {
+            2 => self.snoop_ways::<2>(addr, learn),
+            4 => self.snoop_ways::<4>(addr, learn),
+            _ => self.snoop_ways::<0>(addr, learn),
+        }
+    }
+
+    /// [`snoop_step`](ExcludeJetty::snoop_step) over `W`-way sets (`W =
+    /// 0`: the configured associativity), so the set scans unroll.
+    #[inline(always)]
+    fn snoop_ways<const W: usize>(&mut self, addr: UnitAddr, learn: bool) -> bool {
+        let ways = if W == 0 { self.config.ways } else { W };
+        self.activity.probes += 1;
+        let (set, tag) = self.split(addr);
+        let base = set * ways;
+        let keys = &mut self.keys[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        match find_way(keys, |k| k >> 1 == tag) {
+            Some(way) => {
+                self.clock += 1;
+                stamps[way] = self.clock;
+                if keys[way] & 1 != 0 {
+                    self.activity.filtered += 1;
+                    return true;
+                }
+                if learn {
+                    self.records += 1;
+                    keys[way] |= 1;
+                    self.clock += 1;
+                    stamps[way] = self.clock;
+                }
             }
+            None if learn => {
+                self.records += 1;
+                self.clock += 1;
+                let victim = lru_victim(stamps);
+                keys[victim] = make_key(tag, true);
+                stamps[victim] = self.clock;
+            }
+            None => {}
         }
-        (found != usize::MAX).then_some(found)
-    }
-
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (probe, then
-    /// the safety assertion or [`record_snoop_miss`](SnoopFilter::record_snoop_miss)
-    /// on an unfiltered genuine miss), but with the probe/filtered counters
-    /// accumulated in registers and charged once per batch, and the key and
-    /// stamp arrays staying cache-resident across the whole batch. `node`
-    /// only labels the safety panic. Both kernel levels produce identical
-    /// observable state (pinned by the `simd_equivalence` suite).
-    ///
-    /// The event chunk goes to a single [`kernels::ej_replay`] call
-    /// **as-is** — no gather pass, no scratch copy: the kernel splits
-    /// each unit address with this filter's [`EjGeom`] as it goes and
-    /// fuses the eager probe+record sequence around one lookup per
-    /// snoop, tick order preserved exactly.
-    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        if let Some(bad) = self.replay_events(level, events, &[]).unsafe_at {
-            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
-        }
-    }
-
-    /// The address-split geometry handed to the replay kernel; encodes
-    /// exactly the [`split`](ExcludeJetty::split) computation.
-    fn geom(&self) -> EjGeom {
-        EjGeom {
-            block_shift: self.space.block_unit_shift(),
-            set_mask: (self.config.sets - 1) as u64,
-            set_bits: self.set_bits(),
-        }
-    }
-
-    /// Replays one [`crate::FilterEvent`] chunk through a single
-    /// [`kernels::ej_replay`] call and folds the kernel's counters into
-    /// this filter's activity: probe/allocate counts are uniform
-    /// tag-read charges, records/filtered/present-bit writes and the
-    /// LRU clock come back from the kernel. Shared by the standalone
-    /// batch path above and the hybrid's union replay (which passes its
-    /// IJ verdict slice); the caller owns the unsafe-filter panic (the
-    /// hybrid labels it with its own name).
-    pub(crate) fn replay_events(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        ij_filtered: &[bool],
-    ) -> kernels::ReplayOut {
-        let geom = self.geom();
-        let out = kernels::ej_replay(
-            level,
-            &mut self.keys,
-            &mut self.stamps,
-            self.config.ways,
-            self.clock,
-            geom,
-            events,
-            ij_filtered,
-        );
-        self.clock = out.clock;
-        self.records += out.records;
-        self.allocates += out.allocates;
-        self.activity.probes += out.probes;
-        self.activity.filtered += out.filtered;
-        self.activity.arrays[0].writes += out.writes;
-        out
+        false
     }
 }
 

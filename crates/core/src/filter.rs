@@ -161,10 +161,10 @@ impl FilterActivity {
 /// sequence of notifications *they themselves* receive, never on protocol
 /// state. The substrate exploits this by logging one compact event per
 /// notification while it simulates a chunk of references scalar-fashion,
-/// then replaying each node's event list through each filter in turn
-/// ([`FilterBank::apply_batch`](crate::FilterBank::apply_batch)) — one
-/// filter's arrays stay cache-resident across thousands of events instead
-/// of a whole bank thrashing per snoop. Replaying the events in order is
+/// then replaying each node's event list through its bank
+/// ([`FilterBank::apply_batch`](crate::FilterBank::apply_batch)), event by
+/// event, with the bank's independent filters stepped side by side so
+/// their serial update chains overlap. Replaying the events in order is
 /// *exactly* equivalent to the eager calls, including energy accounting.
 ///
 /// # Examples
@@ -198,15 +198,14 @@ pub enum FilterEvent {
     Deallocate(UnitAddr),
 }
 
-/// Panics with the standard filter-safety message for the snoop at
-/// `events[at]`, which the filter called `name` answered `NotCached`
-/// although the unit was cached on `node`. Every batched replay reports
-/// its kernel's `unsafe_at` index through here, so the message names the
-/// filter and node the same way on every path.
-pub(crate) fn unsafe_filter(name: &str, events: &[FilterEvent], at: usize, node: usize) -> ! {
-    let FilterEvent::Snoop { unit, .. } = events[at] else {
-        unreachable!("unsafe_at always indexes a snoop event");
-    };
+/// Panics with the standard filter-safety message: the filter called
+/// `name` answered `NotCached` for a snoop to `unit` although the unit was
+/// cached on `node`. Both replay entry points of a
+/// [`FilterBank`](crate::FilterBank) report through here, so the message
+/// names the filter, unit and node the same way on every path.
+#[cold]
+#[inline(never)]
+pub(crate) fn unsafe_filter(name: &str, unit: UnitAddr, node: usize) -> ! {
     panic!("UNSAFE FILTER: {name} filtered a snoop to cached unit {unit} on node {node}");
 }
 

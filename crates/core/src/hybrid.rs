@@ -27,7 +27,6 @@ use crate::addr::{AddrSpace, UnitAddr};
 use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
 use crate::include::{IncludeConfig, IncludeJetty};
-use crate::kernels::SimdLevel;
 use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
 /// The exclude-side component of a hybrid: scalar or vectored.
@@ -186,64 +185,23 @@ impl HybridJetty {
         &self.include
     }
 
-    /// Replays a node's deferred event list through the hybrid and its
-    /// private IJ — exactly equivalent to the substrate's eager per-snoop
-    /// sequence (probe, then the safety assertion or
-    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss) on an
-    /// unfiltered genuine miss). `node` only labels the safety panic.
-    ///
-    /// A [`FilterBank`](crate::FilterBank) routes only eager-allocation
-    /// hybrids here: the eager ablation mutates the exclude part mid-run
-    /// on IJ-filtered snoops and reads the IJ's p-bits at that point, so
-    /// each run of consecutive snoops batch-probes the IJ
-    /// ([`IncludeJetty::probe_many`]) and then walks the events in order.
-    /// Backup-policy hybrids never reach this: the bank replays their IJ
-    /// once per distinct geometry and hands each one's EJ/VEJ pass the
-    /// shared verdict slice.
-    pub(crate) fn apply_batch(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        node: usize,
-    ) {
-        let mut units = Vec::new();
-        let mut ij_absent = Vec::new();
-        let mut i = 0;
-        while i < events.len() {
-            match events[i] {
-                crate::FilterEvent::Snoop { .. } => {
-                    units.clear();
-                    ij_absent.clear();
-                    let run = i;
-                    while let Some(&crate::FilterEvent::Snoop { unit, .. }) = events.get(i) {
-                        units.push(unit.raw());
-                        i += 1;
-                    }
-                    self.include.probe_many(level, &units, &mut ij_absent);
-                    for (k, &ij_filtered) in ij_absent.iter().enumerate() {
-                        let crate::FilterEvent::Snoop { unit, would_hit, scope } = events[run + k]
-                        else {
-                            unreachable!("gathered run contains only snoop events");
-                        };
-                        if self.union(unit, ij_filtered).is_filtered() {
-                            if would_hit {
-                                crate::filter::unsafe_filter(&self.name(), events, run + k, node);
-                            }
-                        } else if !would_hit {
-                            self.record_snoop_miss(unit, scope);
-                        }
-                    }
-                }
-                crate::FilterEvent::Allocate(unit) => {
-                    self.on_allocate(unit);
-                    i += 1;
-                }
-                crate::FilterEvent::Deallocate(unit) => {
-                    self.on_deallocate(unit);
-                    i += 1;
-                }
-            }
+    /// One snoop through the hybrid and its private IJ: the IJ's
+    /// branch-free p-bit step, the union verdict (running the eager
+    /// ablation's EJ learning), then on an unfiltered genuine miss the
+    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss). Returns
+    /// whether the hybrid filtered the snoop. A
+    /// [`FilterBank`](crate::FilterBank) steps only eager-allocation
+    /// hybrids through here: the ablation reads its IJ's p-bits and
+    /// mutates the exclude part on IJ-filtered snoops, so its IJ stays
+    /// private. Backup-policy hybrids share the bank's IJ and step
+    /// through [`ExcludeSide::snoop_step`].
+    pub(crate) fn snoop_step(&mut self, addr: UnitAddr, would_hit: bool, scope: MissScope) -> bool {
+        let ij_filtered = self.include.snoop_step(addr);
+        let filtered = self.union(addr, ij_filtered).is_filtered();
+        if !filtered && !would_hit {
+            self.side.record_snoop_miss(addr, scope);
         }
+        filtered
     }
 
     /// Probes the exclude component and combines its verdict with the
@@ -354,24 +312,21 @@ impl ExcludeSide {
         Self { config, exclude, probes: 0, filtered: 0 }
     }
 
-    /// The paper's backup-policy union replay of one event chunk, given
-    /// the IJ's verdict slice for the same chunk (one `bool` per event,
-    /// `true` only for IJ-filtered snoops): a single EJ/VEJ kernel call
-    /// computes the union verdicts, records exactly the misses neither
-    /// component filtered, and is the panic authority for the hybrid.
-    pub(crate) fn replay(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        ij_filtered: &[bool],
-        node: usize,
-    ) {
-        let out = exclude_dispatch!(&mut self.exclude, replay_events(level, events, ij_filtered));
-        self.probes += out.probes;
-        self.filtered += out.union_filtered;
-        if let Some(bad) = out.unsafe_at {
-            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
-        }
+    /// One backup-policy snoop, fused into a single exclude-part lookup:
+    /// the union [`probe`](ExcludeSide::probe) and, for a recordable miss
+    /// (`learn`: the L2 would miss the whole block) that neither
+    /// component filtered, the exclude part's record — the probe +
+    /// [`record_snoop_miss`](ExcludeSide::record_snoop_miss) pair.
+    /// `ij_filtered` is the shared IJ's verdict for this snoop. Returns
+    /// the union verdict.
+    #[inline]
+    pub(crate) fn snoop_step(&mut self, addr: UnitAddr, ij_filtered: bool, learn: bool) -> bool {
+        self.probes += 1;
+        let learn = learn && !ij_filtered;
+        let ej = exclude_dispatch!(&mut self.exclude, snoop_step(addr, learn));
+        let filtered = ij_filtered || ej;
+        self.filtered += u64::from(filtered);
+        filtered
     }
 
     /// The backup-policy union verdict of one snoop, given whether the IJ

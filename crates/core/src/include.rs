@@ -21,7 +21,6 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, SimdLevel};
 
 /// Configuration for an [`IncludeJetty`], the paper's `IJ-ExNxS` naming:
 /// `2^E`-entry sub-arrays, `N` of them, index slices `S` bits apart.
@@ -149,9 +148,12 @@ pub struct IncludeJetty {
     /// while the big counter arrays are touched only by (much rarer)
     /// allocate/deallocate traffic.
     pbits: Vec<u64>,
-    /// Per-sub-array p-bit write counts returned by the replay kernel
-    /// (one slot per sub-array, zeroed before each call).
-    scratch_writes: Vec<u64>,
+    /// Per-sub-array p-bit writes (0 -> 1 on allocate, 1 -> 0 on
+    /// deallocate) since the last reset: a dense counter per sub-array,
+    /// folded into the p-bit arrays' write counts in `activity()`. Its
+    /// allocation is part of what a `System` allocates, which construction
+    /// cost is sensitive to (ARCHITECTURE §2a.1, "Construction cost").
+    pbit_writes: Vec<u64>,
     /// `on_allocate` calls since the last reset. Every allocate performs
     /// exactly one counter read-modify-write per sub-array, so that
     /// uniform activity is derived in `activity()` instead of bumped per
@@ -187,7 +189,7 @@ impl IncludeJetty {
             space,
             counts,
             pbits,
-            scratch_writes: vec![0u64; config.sub_arrays as usize],
+            pbit_writes: vec![0; config.sub_arrays as usize],
             allocates: 0,
             deallocates: 0,
             activity: FilterActivity::with_arrays(arrays),
@@ -262,71 +264,35 @@ impl IncludeJetty {
         false
     }
 
-    /// Replays a node's deferred event chunk through a single
-    /// [`kernels::ij_replay`] call as-is (no gather pass) — exactly
-    /// equivalent to the substrate's eager per-event sequence: snoop
-    /// runs batch-test the packed p-bit bitmap four units at a time,
-    /// allocate/deallocate counter read-modify-writes run in event order
-    /// inside the kernel. IJ ignores `record_snoop_miss`, so unfiltered
-    /// misses need no replay work.
-    ///
-    /// With `verdicts: Some`, one verdict per event is pushed (cleared
-    /// first; `true` only for IJ-filtered snoops) for the backup-policy
-    /// hybrids of a [`FilterBank`](crate::FilterBank) that share this
-    /// state; with `None` the recording is skipped. The kernel's counters
-    /// fold into this filter's activity: probe and counter-RMW counts are
-    /// uniform charges, the data-dependent per-sub-array p-bit writes
-    /// come back through `scratch_writes`. The caller owns the
-    /// unsafe-filter panic.
-    pub(crate) fn replay_events(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        mut verdicts: Option<&mut Vec<bool>>,
-    ) -> kernels::IjReplayOut {
-        if let Some(v) = verdicts.as_deref_mut() {
-            v.clear();
-        }
-        self.scratch_writes.fill(0);
-        let out = kernels::ij_replay(
-            level,
-            &mut self.counts,
-            &mut self.pbits,
-            self.config.index_bits,
-            self.config.sub_arrays,
-            self.config.skip,
-            events,
-            verdicts,
-            &mut self.scratch_writes,
-        );
-        for i in 0..self.config.sub_arrays {
-            self.activity.arrays[Self::pbit_slot(i)].writes += self.scratch_writes[i as usize];
-        }
-        self.allocates += out.allocates;
-        self.deallocates += out.deallocates;
-        self.activity.probes += out.probes;
-        self.activity.filtered += out.filtered;
-        out
+    /// One snoop: the p-bit test of [`probe`](SnoopFilter::probe), counted
+    /// the same way, but branch-free — every selected p-bit is read and
+    /// the bits ANDed, as the hardware reads the N rows in parallel — so
+    /// no mispredicted early exit sits on the replay's dependency chain.
+    /// Returns whether the IJ filtered the snoop. This is the per-event
+    /// step of [`FilterBank`](crate::FilterBank) replay.
+    #[inline]
+    pub(crate) fn snoop_step(&mut self, addr: UnitAddr) -> bool {
+        let absent = match self.config.sub_arrays {
+            4 => self.absent::<4>(addr),
+            5 => self.absent::<5>(addr),
+            _ => self.absent::<0>(addr),
+        };
+        self.activity.probes += 1;
+        self.activity.filtered += u64::from(absent);
+        absent
     }
 
-    /// Batched [`probe`](SnoopFilter::probe) over a run of raw snoop unit
-    /// addresses, appending one absent/present verdict per unit to
-    /// `absent` — used by the eager-allocation hybrid's batched replay.
-    /// Counts probes and filtered snoops exactly as per-event `probe`
-    /// calls would.
-    pub fn probe_many(&mut self, level: SimdLevel, units: &[u64], absent: &mut Vec<bool>) {
-        let start = absent.len();
-        kernels::pbit_test_many(
-            level,
-            &self.pbits,
-            units,
-            self.config.index_bits,
-            self.config.sub_arrays,
-            self.config.skip,
-            absent,
-        );
-        self.activity.probes += units.len() as u64;
-        self.activity.filtered += absent[start..].iter().filter(|&&a| a).count() as u64;
+    /// `true` when some p-bit `addr` selects is clear, over `N`
+    /// sub-arrays (`N = 0`: the configured count), so the loop unrolls.
+    #[inline(always)]
+    fn absent<const N: u32>(&self, addr: UnitAddr) -> bool {
+        let n = if N == 0 { self.config.sub_arrays } else { N };
+        let mut present = 1;
+        for i in 0..n {
+            let slot = self.flat_slot(i, self.index(i, addr));
+            present &= self.pbits[slot >> 6] >> (slot & 63);
+        }
+        present & 1 == 0
     }
 }
 
@@ -372,7 +338,7 @@ impl SnoopFilter for IncludeJetty {
             *count += 1;
             if was_zero {
                 // The p-bit transitions 0 -> 1.
-                self.activity.arrays[Self::pbit_slot(i)].writes += 1;
+                self.pbit_writes[i as usize] += 1;
                 self.set_pbit(slot, true);
             }
         }
@@ -394,7 +360,7 @@ impl SnoopFilter for IncludeJetty {
             *count -= 1;
             let now_zero = *count == 0;
             if now_zero {
-                self.activity.arrays[Self::pbit_slot(i)].writes += 1;
+                self.pbit_writes[i as usize] += 1;
                 self.set_pbit(slot, false);
             }
         }
@@ -418,13 +384,14 @@ impl SnoopFilter for IncludeJetty {
     }
 
     fn activity(&self) -> FilterActivity {
-        // Materialise the uniform charges deferred on the hot paths: one
-        // p-bit read per array per probe, one counter read-modify-write per
-        // array per allocate/deallocate.
+        // Materialise the charges deferred on the hot paths: one p-bit
+        // read per array per probe, one counter read-modify-write per
+        // array per allocate/deallocate, and the counted p-bit writes.
         let mut activity = self.activity.clone();
         let cnt_rmw = self.allocates + self.deallocates;
         for i in 0..self.config.sub_arrays {
             activity.arrays[Self::pbit_slot(i)].reads += activity.probes;
+            activity.arrays[Self::pbit_slot(i)].writes += self.pbit_writes[i as usize];
             activity.arrays[Self::cnt_slot(i)].reads += cnt_rmw;
             activity.arrays[Self::cnt_slot(i)].writes += cnt_rmw;
         }
@@ -432,6 +399,7 @@ impl SnoopFilter for IncludeJetty {
     }
 
     fn reset_activity(&mut self) {
+        self.pbit_writes.fill(0);
         self.allocates = 0;
         self.deallocates = 0;
         self.activity = FilterActivity::with_arrays(Self::array_count(&self.config));

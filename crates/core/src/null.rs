@@ -28,15 +28,6 @@ impl NullFilter {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Replays a node's deferred event list: a null filter only counts the
-    /// snoop probes (it never filters and ignores every other event), so
-    /// the whole batch reduces to one counter addition.
-    pub fn apply_batch(&mut self, events: &[crate::FilterEvent]) {
-        self.probes +=
-            events.iter().filter(|ev| matches!(ev, crate::FilterEvent::Snoop { .. })).count()
-                as u64;
-    }
 }
 
 impl SnoopFilter for NullFilter {

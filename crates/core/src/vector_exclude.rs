@@ -19,7 +19,7 @@ use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{self, SimdLevel, VejGeom};
+use crate::kernels::{find_way, lru_victim};
 
 /// Configuration for a [`VectorExcludeJetty`], the paper's `VEJ-SxA-V`
 /// naming.
@@ -194,76 +194,67 @@ impl VectorExcludeJetty {
     }
 
     /// Flat index of the way holding `tag` in `set`, if any. Scans tags
-    /// only ([`EMPTY_TAG`] can never alias a real chunk tag). Branchless
-    /// for the same reason as [`ExcludeJetty`]'s find: the matching way is
-    /// data-dependent, so compare-and-select beats an early-exit scan.
+    /// only ([`EMPTY_TAG`] can never alias a real chunk tag), branch-free
+    /// ([`find_way`]).
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        let tags = &self.tags[base..base + self.config.ways];
-        let mut found = usize::MAX;
-        for (way, &t) in tags.iter().enumerate().rev() {
-            if t == tag {
-                found = base + way;
+        let range = self.set_range(set);
+        find_way(&self.tags[range.clone()], |t| t == tag).map(|way| range.start + way)
+    }
+
+    /// One snoop, fused into a single set lookup: the
+    /// [`probe`](SnoopFilter::probe) and, when `learn` and the probe did
+    /// not filter, the block-scope
+    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss) — the
+    /// [`ExcludeJetty`](crate::ExcludeJetty) step with a present-vector
+    /// lane in place of the present bit. Returns whether this filter
+    /// filtered the snoop.
+    #[inline]
+    pub(crate) fn snoop_step(&mut self, addr: UnitAddr, learn: bool) -> bool {
+        match self.config.ways {
+            2 => self.snoop_ways::<2>(addr, learn),
+            4 => self.snoop_ways::<4>(addr, learn),
+            _ => self.snoop_ways::<0>(addr, learn),
+        }
+    }
+
+    /// [`snoop_step`](VectorExcludeJetty::snoop_step) over `W`-way sets
+    /// (`W = 0`: the configured associativity), so the set scans unroll.
+    #[inline(always)]
+    fn snoop_ways<const W: usize>(&mut self, addr: UnitAddr, learn: bool) -> bool {
+        let ways = if W == 0 { self.config.ways } else { W };
+        self.activity.probes += 1;
+        let (set, tag, lane) = self.split(addr);
+        let bit = 1u64 << lane;
+        let base = set * ways;
+        let tags = &mut self.tags[base..base + ways];
+        let vectors = &mut self.vectors[base..base + ways];
+        let stamps = &mut self.stamps[base..base + ways];
+        match find_way(tags, |t| t == tag) {
+            Some(way) => {
+                self.clock += 1;
+                stamps[way] = self.clock;
+                if vectors[way] & bit != 0 {
+                    self.activity.filtered += 1;
+                    return true;
+                }
+                if learn {
+                    self.records += 1;
+                    vectors[way] |= bit;
+                    self.clock += 1;
+                    stamps[way] = self.clock;
+                }
             }
+            None if learn => {
+                self.records += 1;
+                self.clock += 1;
+                let victim = lru_victim(stamps);
+                tags[victim] = tag;
+                vectors[victim] = bit;
+                stamps[victim] = self.clock;
+            }
+            None => {}
         }
-        (found != usize::MAX).then_some(found)
-    }
-
-    /// Replays a node's deferred event list through this filter — exactly
-    /// equivalent to the substrate's eager per-snoop sequence (see
-    /// [`ExcludeJetty::apply_batch`](crate::ExcludeJetty::apply_batch)),
-    /// with counters accumulated in registers and the tag/vector/stamp
-    /// arrays cache-resident across the batch. `node` only labels the
-    /// safety panic. The event chunk goes to a single
-    /// [`kernels::vej_replay`] call as-is (no gather pass; the kernel
-    /// splits each address with this filter's [`VejGeom`]).
-    pub fn apply_batch(&mut self, level: SimdLevel, events: &[crate::FilterEvent], node: usize) {
-        if let Some(bad) = self.replay_events(level, events, &[]).unsafe_at {
-            crate::filter::unsafe_filter(&self.config.label(), events, bad, node);
-        }
-    }
-
-    /// The address-split geometry handed to the replay kernel; encodes
-    /// exactly the [`split`](VectorExcludeJetty::split) computation.
-    fn geom(&self) -> VejGeom {
-        VejGeom {
-            block_shift: self.space.block_unit_shift(),
-            lane_mask: (self.config.vector_len - 1) as u64,
-            lane_bits: self.lane_bits(),
-            set_mask: (self.config.sets - 1) as u64,
-            set_bits: self.set_bits(),
-        }
-    }
-
-    /// Replays one [`crate::FilterEvent`] chunk through a single
-    /// [`kernels::vej_replay`] call; counter mapping exactly as in
-    /// [`ExcludeJetty::replay_events`](crate::ExcludeJetty) (the caller
-    /// owns the unsafe-filter panic).
-    pub(crate) fn replay_events(
-        &mut self,
-        level: SimdLevel,
-        events: &[crate::FilterEvent],
-        ij_filtered: &[bool],
-    ) -> kernels::ReplayOut {
-        let geom = self.geom();
-        let out = kernels::vej_replay(
-            level,
-            &mut self.tags,
-            &mut self.vectors,
-            &mut self.stamps,
-            self.config.ways,
-            self.clock,
-            geom,
-            events,
-            ij_filtered,
-        );
-        self.clock = out.clock;
-        self.records += out.records;
-        self.allocates += out.allocates;
-        self.activity.probes += out.probes;
-        self.activity.filtered += out.filtered;
-        self.activity.arrays[0].writes += out.writes;
-        out
+        false
     }
 }
 

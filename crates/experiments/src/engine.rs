@@ -322,10 +322,11 @@ pub struct SuiteTiming {
     /// Time the jobs spent simulating those chunks (summed across jobs;
     /// part of `elapsed`).
     pub sim: Duration,
-    /// Name of the replay-kernel level the simulation ran with
-    /// (`"scalar"`/`"avx2"`, from [`jetty_core::kernels::active_level`]) —
-    /// surfaced as the `kernel=` tag in `--timings` so timings from
-    /// different hosts can be told apart.
+    /// The host's detected SIMD level (`"scalar"`/`"avx2"`, from
+    /// [`jetty_core::kernels::active_level`]) — a host fact, not a code
+    /// path: replay is portable scalar code everywhere. Surfaced as the
+    /// `kernel=` tag in `--timings` so timings from different hosts can
+    /// be told apart.
     pub kernel: &'static str,
     /// Effective intra-run shard count the simulation's jobs replayed snoop
     /// work with (after the oversubscription cap against the worker

@@ -9,6 +9,10 @@
 //! Each subblock also carries a data *version* used by the coherence
 //! checker: stores stamp the unit with a fresh global version, and fills
 //! copy the supplier's version, so any stale read is caught immediately.
+//! Only the checker reads versions, so an unchecked system builds its
+//! caches with [`L2Cache::without_versions`]: no version array is
+//! allocated, every version reads as 0 and version writes are dropped,
+//! while the presence assertions stay on.
 //!
 //! # Storage layout (hot path)
 //!
@@ -86,6 +90,7 @@ pub struct L2Cache {
     hot: Vec<u128>,
     /// Per-subblock data version (checker support), indexed
     /// `block * subblocks + sub` — cold: never read on the probe path.
+    /// Empty for a cache built [`without_versions`](L2Cache::without_versions).
     versions: Vec<u64>,
     subblocks: usize,
     sub_mask: u64,
@@ -95,14 +100,26 @@ pub struct L2Cache {
 }
 
 impl L2Cache {
-    /// Creates an empty L2.
+    /// Creates an empty L2 that tracks data versions.
     pub fn new(config: L2Config) -> Self {
+        Self::build(config, true)
+    }
+
+    /// Creates an empty L2 that tracks no data versions: it allocates no
+    /// version array, [`version`](L2Cache::version) and evictions report
+    /// 0, and version writes are dropped. For systems that never check
+    /// versions; the presence assertions behave as in [`L2Cache::new`].
+    pub fn without_versions(config: L2Config) -> Self {
+        Self::build(config, false)
+    }
+
+    fn build(config: L2Config, versions: bool) -> Self {
         let blocks = config.blocks();
         let subblocks = config.subblocks;
         assert!(subblocks <= 8, "packed hot records hold at most 8 subblocks per block");
         Self {
             hot: vec![0; blocks],
-            versions: vec![0; blocks * subblocks],
+            versions: if versions { vec![0; blocks * subblocks] } else { Vec::new() },
             subblocks,
             sub_mask: subblocks as u64 - 1,
             sub_bits: subblocks.trailing_zeros(),
@@ -147,6 +164,17 @@ impl L2Cache {
     /// Flat index of `(idx, sub)` into `versions`.
     fn slot(&self, idx: usize, sub: usize) -> usize {
         (idx << self.sub_bits) | sub
+    }
+
+    /// The version at `slot`; 0 when versions are untracked.
+    fn version_at(&self, slot: usize) -> u64 {
+        self.versions.get(slot).copied().unwrap_or(0)
+    }
+
+    /// Writes the version at `slot`, returning the one it replaces; a
+    /// no-op returning 0 when versions are untracked.
+    fn replace_version(&mut self, slot: usize, version: u64) -> u64 {
+        self.versions.get_mut(slot).map_or(0, |v| std::mem::replace(v, version))
     }
 
     /// `true` when `unit`'s subblock is valid under a matching tag.
@@ -202,7 +230,7 @@ impl L2Cache {
         // gating on the subblock's own valid bit matches the historical
         // "any subblock valid and tag matches" behaviour exactly.
         if self.is_present(idx, tag, sub) {
-            self.versions[self.slot(idx, sub)]
+            self.version_at(self.slot(idx, sub))
         } else {
             0
         }
@@ -234,7 +262,7 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         assert!(self.is_present(idx, tag, sub), "set_version on absent unit {unit}");
         let slot = self.slot(idx, sub);
-        self.versions[slot] = version;
+        self.replace_version(slot, version);
     }
 
     /// Invalidates a present unit (snoop invalidation), returning its state
@@ -249,8 +277,7 @@ impl L2Cache {
         let slot = self.slot(idx, sub);
         let meta = self.meta(idx);
         let sh = nibble_shift(sub);
-        let prior = (nibble_state(meta >> sh), self.versions[slot]);
-        self.versions[slot] = 0;
+        let prior = (nibble_state(meta >> sh), self.replace_version(slot, 0));
         // Clear the valid bit and zero the nibble (module invariant).
         self.set_meta(idx, meta & !(1u64 << sub) & !(0xF << sh));
         prior
@@ -291,9 +318,8 @@ impl L2Cache {
                 evicted.push(EvictedUnit {
                     unit: self.unit_addr(idx, victim_tag, s),
                     state: nibble_state(meta >> nibble_shift(s)),
-                    version: self.versions[slot],
+                    version: self.replace_version(slot, 0),
                 });
-                self.versions[slot] = 0;
             }
             self.hot[idx] = 0;
         }
@@ -303,7 +329,7 @@ impl L2Cache {
         let new_meta =
             (self.meta(idx) & !(0xF << sh)) | (1u64 << sub) | (state_nibble(state) << sh);
         self.hot[idx] = tag as u128 | ((new_meta as u128) << 64);
-        self.versions[slot] = version;
+        self.replace_version(slot, version);
     }
 
     /// Allocating convenience wrapper around [`L2Cache::fill_into`]
@@ -508,6 +534,27 @@ mod tests {
         // One 16-byte hot record per block; versions stay per-subblock.
         assert_eq!(l2.hot.len(), 16384);
         assert_eq!(l2.versions.len(), 16384 * 2);
+    }
+
+    #[test]
+    fn untracked_cache_allocates_no_versions_and_reads_zero() {
+        let mut l2 = L2Cache::without_versions(L2Config::new(256, 64, 2));
+        assert!(l2.versions.is_empty());
+        let u = UnitAddr::new(4);
+        l2.fill(u, Moesi::Modified, 9);
+        l2.set_version(u, 42);
+        assert_eq!(l2.version(u), 0);
+        assert_eq!(l2.invalidate(u), (Moesi::Modified, 0));
+        l2.fill(u, Moesi::Modified, 9);
+        let evicted = l2.fill(UnitAddr::new(4 + 8), Moesi::Shared, 2);
+        assert_eq!(evicted.iter().map(|e| e.version).collect::<Vec<_>>(), [0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_version on absent unit")]
+    fn untracked_cache_still_asserts_presence() {
+        let mut l2 = L2Cache::without_versions(L2Config::new(256, 64, 2));
+        l2.set_version(UnitAddr::new(4), 1);
     }
 
     #[test]

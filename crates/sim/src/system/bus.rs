@@ -110,7 +110,7 @@ impl System {
             // bystanders: every one probes, and each that fails to filter a
             // genuine miss is taught via record_snoop_miss. A batched run
             // defers the whole bank walk to the chunk flush — one logged
-            // event here, replayed per filter in cache-friendly order.
+            // event here, replayed through the same bank step later.
             if self.batching {
                 node.events.push(FilterEvent::Snoop { unit, would_hit, scope });
             } else {

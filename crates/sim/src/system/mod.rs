@@ -164,7 +164,7 @@ pub struct System {
     /// When set (inside [`System::run_chunk`]), the snoop/allocate/
     /// deallocate paths log [`jetty_core::FilterEvent`]s into each node's
     /// buffer instead of walking its filter bank eagerly; the chunk flush
-    /// replays each node's list filter-by-filter. Never set while the
+    /// replays each node's list through its bank. Never set while the
     /// public [`System::access`]/[`System::apply`] entry points run
     /// directly, so single-access callers observe filter state immediately.
     batching: bool,
@@ -198,7 +198,12 @@ impl System {
         let nodes = (0..config.cpus)
             .map(|_| Node {
                 l1: L1Cache::new(config.l1),
-                l2: L2Cache::new(config.l2),
+                // Only the checker reads data versions.
+                l2: if config.check.is_full() {
+                    L2Cache::new(config.l2)
+                } else {
+                    L2Cache::without_versions(config.l2)
+                },
                 wb: WritebackBuffer::new(config.wb_entries),
                 filters: FilterBank::new(specs, space),
                 stats: NodeStats::default(),
@@ -264,13 +269,14 @@ impl System {
     }
 
     /// References per internal chunk of [`System::run`] (and the chunk
-    /// size streamed `run_app` callers should use). The filter arrays go
-    /// cold between flushes — the simulated L2 SoA arrays evict them — so
-    /// each flush pays a compulsory reload of every filter's tags, and
-    /// larger chunks amortize that reload over more events. Measured at
-    /// full scale on the pinned host: 8Ki chunks ≈ 22.2 s, 64Ki ≈ 19.0 s,
-    /// 256Ki ≈ 19.2 s (past 64Ki the event logs themselves outgrow cache
-    /// and the curve flattens), so 64Ki is the knee.
+    /// size streamed `run_app` callers should use). Each flush replays a
+    /// node's event log with the whole bank's arrays hot, and larger
+    /// chunks amortise their reload over more events, until the logs
+    /// themselves outgrow cache. Re-measured for event-major replay with
+    /// traced paper-all runs at scale 0.1 on a 2-vCPU x86_64 VM,
+    /// filter-replay seconds: 16Ki 0.67–1.23 (median 0.88 of 5), 64Ki
+    /// 0.83–0.96 (median 0.92 of 5), 256Ki 0.95–0.97 (2 runs). 256Ki
+    /// loses and 16Ki wins inconsistently, so 64Ki stays.
     pub const CHUNK_LEN: usize = 65536;
 
     /// Runs an entire trace through the system by buffering it into
@@ -299,12 +305,13 @@ impl System {
     /// receives — so during the chunk the snoop path logs compact
     /// per-node [`jetty_core::FilterEvent`]s, and the end-of-chunk flush
     /// replays each node's list through its bank
-    /// ([`FilterBank::apply_batch`]). One filter's arrays stay cache-resident
-    /// across thousands of events instead of the whole bank thrashing per
-    /// snoop, and the replay is exactly equivalent to the eager calls —
-    /// same order, same states, same activity counters.
+    /// ([`FilterBank::apply_batch`]), which runs the same per-event steps
+    /// as the eager calls — same order, same states, same activity
+    /// counters. Deferring keeps each bank's arrays out of the protocol
+    /// pass's working set, hot across a node's whole log, and lets
+    /// [`System::set_shards`] replay nodes in parallel.
     ///
-    /// Scalar fallback: runs under [`CheckLevel::Full`] skip batching so
+    /// Per-event path: runs under [`CheckLevel::Full`] skip batching so
     /// the filter-safety assertion fires at the exact offending access
     /// (deferral would report it at the chunk boundary), as do runs with
     /// an empty filter bank (nothing to batch). All filter events are
@@ -347,9 +354,7 @@ impl System {
     }
 
     /// Replays every node's deferred filter events through its bank,
-    /// filter-major: the variant dispatch is hoisted outside the event
-    /// loop and each filter's probe/filtered counters are accumulated in
-    /// registers and charged once per batch.
+    /// event-major ([`FilterBank::apply_batch`]).
     ///
     /// With `shards > 1` the nodes are partitioned into contiguous
     /// slices and each slice replays on its own scoped worker thread
@@ -366,13 +371,12 @@ impl System {
             base: usize,
             gate: &crate::RunGate,
         ) -> Result<(), crate::GateStop> {
-            let level = jetty_core::kernels::active_level();
             for (off, node) in nodes.iter_mut().enumerate() {
                 gate.check()?;
                 if node.events.is_empty() {
                     continue;
                 }
-                node.filters.apply_batch(level, &node.events, base + off);
+                node.filters.apply_batch(&node.events, base + off);
                 node.events.clear();
             }
             Ok(())

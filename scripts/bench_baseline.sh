@@ -91,20 +91,6 @@ batch_ij=$(hp batch_probe_include)
 batch_hybrid=$(hp batch_probe_hybrid)
 trace_chunk=$(hp trace_fill_chunk)
 
-# SIMD kernel criterion throughputs (Melem/s), both dispatch levels. On
-# hosts without AVX2 only the _scalar series exists; those entries are
-# recorded as null rather than faked.
-kernels_out=$(cargo bench --bench kernels 2>/dev/null | grep '^kernels/')
-kn() {
-    local v
-    v=$(echo "$kernels_out" | grep "^kernels/$1 " | awk '{print $(NF-1)}')
-    echo "${v:-null}"
-}
-ej_replay_scalar=$(kn ej_replay_scalar)
-ej_replay_avx2=$(kn ej_replay_avx2)
-pbit_scalar=$(kn pbit_test_many_scalar)
-pbit_avx2=$(kn pbit_test_many_avx2)
-
 # Intra-run sharding criterion throughputs (Melem/s of references): the
 # serial fast path against the scoped fan-out at 2 and 4 shards. On a
 # single-core host the sharded series measures pure spawn/merge overhead.
@@ -180,12 +166,6 @@ cat > BENCH_baseline.json <<EOF
     "batch_probe_include": $batch_ij,
     "batch_probe_hybrid": $batch_hybrid,
     "trace_fill_chunk": $trace_chunk
-  },
-  "kernels_melems_per_s": {
-    "ej_replay_scalar": $ej_replay_scalar,
-    "ej_replay_avx2": $ej_replay_avx2,
-    "pbit_test_many_scalar": $pbit_scalar,
-    "pbit_test_many_avx2": $pbit_avx2
   },
   "shard_merge_melems_per_s": {
     "replay_shards_1": $replay_shards_1,

@@ -13,8 +13,8 @@ echo "==> tier-1: cargo build --release && cargo test -q (then sharded)"
 cargo build --release
 # A second leg fans the snoop replay out to two shards — any scheduling
 # sensitivity in the deterministic bus-order merge fails loudly here.
-# (Kernel dispatch follows the host; simd_equivalence compares the
-# scalar and AVX2 replay kernels directly.)
+# (Replay is portable scalar code on every host; the replay_oracle
+# suite compares event-major bank replay with each filter driven alone.)
 cargo test -q
 JETTY_SHARDS=2 cargo test -q
 
