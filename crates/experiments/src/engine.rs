@@ -34,11 +34,13 @@
 //!
 //! A job's result depends only on its inputs — [`TraceGen`] is a pure
 //! function of `(profile, cpus, scale)` and [`System`] of the trace and
-//! options — so execution order cannot change any result. Jobs write into
-//! pre-assigned slots and suites are reassembled in application order,
-//! making engine output identical to the sequential path byte for byte;
-//! with one thread the engine *is* the sequential path (no threads are
-//! spawned at all).
+//! options — so execution order cannot change any result. Workers claim
+//! jobs longest trace first (so the largest job never starts last and
+//! leaves the other workers idle), but jobs write into pre-assigned
+//! slots and suites are reassembled in application order, making engine
+//! output identical to the sequential path byte for byte; with one
+//! thread the engine *is* the sequential path (no threads are spawned at
+//! all).
 //!
 //! # Failure model
 //!
@@ -76,6 +78,7 @@
 //! [`System`]: jetty_sim::System
 //! [`RunGate`]: jetty_sim::RunGate
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -84,7 +87,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use jetty_sim::RunGate;
-use jetty_workloads::apps;
+use jetty_workloads::{apps, TraceGen};
 
 use crate::error::JettyError;
 use crate::fault::Faults;
@@ -677,7 +680,14 @@ impl Engine {
             // on the caller's thread.
             jobs.iter().map(run_job).collect()
         } else {
-            self.execute_parallel(&sims, &jobs, &run_job)
+            let lens: Vec<u64> = jobs
+                .iter()
+                .map(|job| {
+                    let options = &sims[job.sim].options;
+                    TraceGen::len_for(&profiles[job.app], options.cpus, options.scale)
+                })
+                .collect();
+            self.execute_parallel(&sims, &jobs, &dispatch_order(&lens), &run_job)
         };
         self.jobs_executed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
         self.simulations_executed.fetch_add(sims.len() as u64, Ordering::Relaxed);
@@ -751,26 +761,28 @@ impl Engine {
             .collect()
     }
 
-    /// Drains `jobs` with a pool of scoped threads. Workers claim jobs
-    /// through a shared atomic cursor and deposit outcomes (with per-job
-    /// wall-clock) into the slot matching the job index, so assembly order
-    /// is independent of completion order. A slot left empty — a worker
-    /// that died without depositing, which catch_unwind makes unreachable
-    /// in unwind builds — degrades to a per-job error, never a panic.
+    /// Drains `jobs` with a pool of scoped threads. Workers claim jobs in
+    /// `order` through a shared atomic cursor and deposit outcomes (with
+    /// per-job wall-clock) into the slot matching the job index, so
+    /// assembly order is independent of claim and completion order. A
+    /// slot left empty — a worker that died without depositing, which
+    /// catch_unwind makes unreachable in unwind builds — degrades to a
+    /// per-job error, never a panic.
     fn execute_parallel(
         &self,
         sims: &[Simulation],
         jobs: &[Job],
+        order: &[usize],
         run_job: &(dyn Fn(&Job) -> JobOutcome + Sync),
     ) -> Vec<JobOutcome> {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         thread::scope(|scope| {
             for _ in 0..self.threads.min(jobs.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    *lock_recover(&slots[i]) = Some(run_job(job));
+                scope.spawn(|| {
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        *lock_recover(&slots[i]) = Some(run_job(&jobs[i]));
+                    }
                 });
             }
         });
@@ -792,6 +804,17 @@ impl Engine {
             })
             .collect()
     }
+}
+
+/// The order workers claim jobs in, given each job's trace length: longest
+/// first, so the largest jobs never start last and leave the other workers
+/// idle at the end of a batch; ties keep the canonical (simulation,
+/// application) order. A job's cost is its trace length, a property of the
+/// input, not of a workload name.
+fn dispatch_order(lens: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..lens.len()).collect();
+    order.sort_by_key(|&i| Reverse(lens[i]));
+    order
 }
 
 /// Best-effort text of a caught panic payload (`&str` or `String`
@@ -1135,6 +1158,33 @@ mod tests {
                 assert_eq!(sr.would_miss, pr.would_miss);
                 assert_eq!(sr.activities, pr.activities);
             }
+        }
+    }
+
+    #[test]
+    fn dispatch_claims_the_longest_traces_first_and_keeps_ties_canonical() {
+        assert_eq!(dispatch_order(&[5, 9, 5, 12, 9, 1]), vec![3, 1, 4, 0, 2, 5]);
+        assert_eq!(dispatch_order(&[7, 7, 7]), vec![0, 1, 2]);
+        assert!(dispatch_order(&[]).is_empty());
+    }
+
+    #[test]
+    fn run_suites_returns_the_same_runs_at_one_and_two_threads() {
+        // Three simulations whose traces differ in length, so the
+        // longest-first claim order differs from the canonical one.
+        let requests = [
+            quick(0.002),
+            quick(0.004).with_cpus(8),
+            quick(0.003).with_protocol(jetty_sim::ProtocolKind::Mesi),
+        ];
+        let serial = Engine::new(1).run_suites(&requests);
+        let parallel = Engine::new(2).run_suites(&requests);
+        let order: Vec<_> = apps::all().iter().map(|p| p.abbrev).collect();
+        for ((s, p), options) in serial.into_iter().zip(parallel).zip(&requests) {
+            let (s, p) = (s.unwrap(), p.unwrap());
+            assert_same_runs(&s, &p, &options.id());
+            let got: Vec<_> = p.iter().map(|r| r.profile.abbrev).collect();
+            assert_eq!(got, order, "{}: runs must come back in application order", options.id());
         }
     }
 

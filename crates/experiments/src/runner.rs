@@ -234,7 +234,7 @@ pub fn run_app(profile: &AppProfile, options: &RunOptions) -> AppRun {
 /// [`run_app`] under a [`RunGate`] and the process fault plan, also
 /// returning the generation/simulation wall-clock split, with the run's
 /// snoop replay fanned out to `shards` slices of the node array (1 =
-/// serial; shards never change results, see [`System::set_shards`]).
+/// serial; shards never change results, see [`System::with_shards`]).
 ///
 /// The trace is streamed: the generator refills one reusable
 /// [`System::CHUNK_LEN`]-reference buffer per iteration and the system

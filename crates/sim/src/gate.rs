@@ -73,16 +73,6 @@ impl RunGate {
         self
     }
 
-    /// `true` when the gate can never stop a run.
-    pub fn is_unbounded(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
-    }
-
-    /// The configured budget in milliseconds, when there is one.
-    pub fn budget_ms(&self) -> Option<u64> {
-        self.deadline.map(|(_, ms)| ms)
-    }
-
     /// May the run proceed into its next chunk? Cancellation is checked
     /// before the deadline: an owner-initiated stop is the more specific
     /// reason, and checking it first keeps the common unbounded path free
@@ -109,8 +99,6 @@ mod tests {
     #[test]
     fn unbounded_gate_always_passes() {
         let gate = RunGate::unbounded();
-        assert!(gate.is_unbounded());
-        assert_eq!(gate.budget_ms(), None);
         for _ in 0..3 {
             assert_eq!(gate.check(), Ok(()));
         }
@@ -119,15 +107,12 @@ mod tests {
     #[test]
     fn zero_budget_expires_immediately_and_reports_it() {
         let gate = RunGate::with_budget(Duration::ZERO);
-        assert!(!gate.is_unbounded());
-        assert_eq!(gate.budget_ms(), Some(0));
         assert_eq!(gate.check(), Err(GateStop::DeadlineExpired { budget_ms: 0 }));
     }
 
     #[test]
     fn generous_budget_passes_now() {
         let gate = RunGate::with_budget(Duration::from_secs(3600));
-        assert_eq!(gate.budget_ms(), Some(3_600_000));
         assert_eq!(gate.check(), Ok(()));
     }
 

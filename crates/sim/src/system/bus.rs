@@ -2,9 +2,9 @@
 //! every remote node.
 //!
 //! Each snoop follows the exact path JETTY is about: the writeback buffer
-//! is always probed (never filtered), then every filter in the bank
-//! observes the snoop as a bystander, then — for an unfiltered L2 — the
-//! configured [`CoherenceProtocol`] reaction runs against the tag array.
+//! is always probed (never filtered), then the snoop is logged for the
+//! filter bank (which observes it as a bystander at the next flush), then
+//! the configured [`CoherenceProtocol`] reaction runs against the tag array.
 //!
 //! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
@@ -107,15 +107,9 @@ impl System {
             }
 
             // 2. The filter bank observes the snoop. Filters are pure
-            // bystanders: every one probes, and each that fails to filter a
-            // genuine miss is taught via record_snoop_miss. A batched run
-            // defers the whole bank walk to the chunk flush — one logged
-            // event here, replayed through the same bank step later.
-            if self.batching {
-                node.events.push(FilterEvent::Snoop { unit, would_hit, scope });
-            } else {
-                node.filters.snoop(unit, would_hit, scope, i);
-            }
+            // bystanders, so the bank walk is deferred to the flush: one
+            // logged event here, replayed through the bank step later.
+            node.log(FilterEvent::Snoop { unit, would_hit, scope });
         }
         if let Some(entry) = retired {
             self.retire_to_memory(entry);
@@ -169,11 +163,7 @@ impl System {
                     node.stats.snoop_supplies += 1;
                     response.supplied_version = Some(version);
                 }
-                if self.batching {
-                    self.nodes[i].events.push(FilterEvent::Deallocate(unit));
-                } else {
-                    self.nodes[i].filters.on_deallocate(unit);
-                }
+                node.log(FilterEvent::Deallocate(unit));
             }
         }
     }

@@ -71,27 +71,26 @@ impl System {
     }
 
     /// Asserts the protocol's single-writer and state-subset invariants
-    /// for `unit`.
+    /// for `unit`: one counting pass over the nodes, which allocates only
+    /// to report a failure.
     pub(super) fn check_invariants(&self, unit: UnitAddr) {
         if !self.config.check.is_full() {
             return;
         }
-        let states: Vec<Moesi> = self.nodes.iter().map(|n| n.l2.state(unit)).collect();
-        for (i, s) in states.iter().enumerate() {
+        let (mut valid, mut exclusive, mut owners) = (0, 0, 0);
+        for (i, node) in self.nodes.iter().enumerate() {
+            let s = node.l2.state(unit);
             assert!(
-                self.config.protocol.allows(*s),
+                self.config.protocol.allows(s),
                 "node {i} holds {s} for {unit}, outside the {} state set",
                 self.config.protocol.name()
             );
+            valid += usize::from(s.is_valid());
+            exclusive += usize::from(matches!(s, Moesi::Modified | Moesi::Exclusive));
+            owners += usize::from(s == Moesi::Owned);
         }
-        let valid = states.iter().filter(|s| s.is_valid()).count();
-        let exclusive =
-            states.iter().filter(|s| matches!(s, Moesi::Modified | Moesi::Exclusive)).count();
-        let owners = states.iter().filter(|s| **s == Moesi::Owned).count();
-        assert!(exclusive <= 1, "multiple M/E holders of {unit}: {states:?}");
-        assert!(owners <= 1, "multiple O holders of {unit}: {states:?}");
-        if exclusive == 1 {
-            assert_eq!(valid, 1, "M/E copy of {unit} coexists with other copies: {states:?}");
+        if exclusive > 1 || owners > 1 || (exclusive == 1 && valid != 1) {
+            self.single_writer_violated(unit, valid, exclusive, owners);
         }
         // Inclusion for the touched unit in every node.
         for (i, node) in self.nodes.iter().enumerate() {
@@ -102,6 +101,24 @@ impl System {
                 );
             }
         }
+    }
+
+    /// Panics with the single-writer invariant `check_invariants` counted
+    /// as broken, listing every node's state for `unit`.
+    #[cold]
+    #[inline(never)]
+    fn single_writer_violated(
+        &self,
+        unit: UnitAddr,
+        valid: usize,
+        exclusive: usize,
+        owners: usize,
+    ) -> ! {
+        let states: Vec<Moesi> = self.nodes.iter().map(|n| n.l2.state(unit)).collect();
+        assert!(exclusive <= 1, "multiple M/E holders of {unit}: {states:?}");
+        assert!(owners <= 1, "multiple O holders of {unit}: {states:?}");
+        assert_eq!(valid, 1, "M/E copy of {unit} coexists with other copies: {states:?}");
+        unreachable!("no single-writer violation for {unit}: {states:?}")
     }
 
     /// Verifies L1 ⊆ L2 inclusion exhaustively (tests; O(L1 size)) with

@@ -229,17 +229,9 @@ impl System {
                     self.retire_to_memory(forced);
                 }
             }
-            if self.batching {
-                self.nodes[cpu].events.push(FilterEvent::Deallocate(ev.unit));
-            } else {
-                self.nodes[cpu].filters.on_deallocate(ev.unit);
-            }
+            self.nodes[cpu].log(FilterEvent::Deallocate(ev.unit));
         }
-        if self.batching {
-            self.nodes[cpu].events.push(FilterEvent::Allocate(unit));
-        } else {
-            self.nodes[cpu].filters.on_allocate(unit);
-        }
+        self.nodes[cpu].log(FilterEvent::Allocate(unit));
         self.evict_scratch = evicted;
     }
 }

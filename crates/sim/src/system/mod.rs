@@ -44,8 +44,9 @@
 //! # Safety checking
 //!
 //! The filter-safety assertion (a filtered snoop must be a genuine miss) is
-//! always on: it is one comparison and it guards the paper's core
-//! requirement. With [`CheckLevel::Full`] the system additionally verifies
+//! always on, checked as the bank replays each logged snoop: it is one
+//! comparison and it guards the paper's core requirement. With
+//! [`CheckLevel::Full`] the system additionally verifies
 //! the protocol's single-writer invariants after every transaction and
 //! tracks data versions end to end (stores stamp a fresh version; loads
 //! must observe the newest one; fills, supplies, writebacks and drains
@@ -53,13 +54,14 @@
 //! bugs.
 //!
 //! [`CheckLevel::Full`]: crate::CheckLevel::Full
+//! [`CoherenceProtocol`]: crate::protocol::CoherenceProtocol
 
 mod bus;
 mod check;
 mod local;
 mod node;
 
-use jetty_core::{AddrSpace, FilterBank, FilterSpec};
+use jetty_core::{FilterBank, FilterSpec};
 
 use crate::bus::BusKind;
 use crate::config::SystemConfig;
@@ -67,7 +69,6 @@ use crate::fastmap::FastMap;
 use crate::l1::L1Cache;
 use crate::l2::{EvictedUnit, L2Cache};
 use crate::moesi::Moesi;
-use crate::protocol::CoherenceProtocol;
 use crate::stats::{NodeStats, RunStats, SystemStats};
 use crate::trace::{MemRef, Op};
 use crate::wb::WritebackBuffer;
@@ -147,7 +148,6 @@ impl FilterReport {
 /// a zero-sized shared static), so no `Sync` is needed.
 pub struct System {
     config: SystemConfig,
-    space: AddrSpace,
     specs: Vec<FilterSpec>,
     nodes: Vec<Node>,
     stats: SystemStats,
@@ -161,13 +161,6 @@ pub struct System {
     /// Reusable eviction scratch threaded through every L2 fill so the
     /// steady-state install path allocates nothing.
     evict_scratch: Vec<EvictedUnit>,
-    /// When set (inside [`System::run_chunk`]), the snoop/allocate/
-    /// deallocate paths log [`jetty_core::FilterEvent`]s into each node's
-    /// buffer instead of walking its filter bank eagerly; the chunk flush
-    /// replays each node's list through its bank. Never set while the
-    /// public [`System::access`]/[`System::apply`] entry points run
-    /// directly, so single-access callers observe filter state immediately.
-    batching: bool,
     /// Worker shards for the end-of-chunk filter replay: nodes are
     /// partitioned into this many contiguous slices and each slice's
     /// event logs replay on its own scoped thread. Purely a performance
@@ -194,7 +187,6 @@ impl System {
     /// [`SystemConfig::validate`]).
     pub fn new(config: SystemConfig, specs: &[FilterSpec]) -> Self {
         config.validate();
-        let space = config.addr;
         let nodes = (0..config.cpus)
             .map(|_| Node {
                 l1: L1Cache::new(config.l1),
@@ -205,14 +197,13 @@ impl System {
                     L2Cache::without_versions(config.l2)
                 },
                 wb: WritebackBuffer::new(config.wb_entries),
-                filters: FilterBank::new(specs, space),
+                filters: FilterBank::new(specs, config.addr),
                 stats: NodeStats::default(),
                 events: Vec::new(),
             })
             .collect();
         Self {
             config,
-            space,
             specs: specs.to_vec(),
             nodes,
             stats: SystemStats::new(config.cpus),
@@ -220,7 +211,6 @@ impl System {
             memory_versions: FastMap::new(),
             latest_versions: FastMap::new(),
             evict_scratch: Vec::new(),
-            batching: false,
             shards: 1,
         }
     }
@@ -230,13 +220,8 @@ impl System {
     /// 1; counts beyond the node count are clamped at flush time.
     /// Sharding never changes results, only how many threads replay
     /// the per-node event logs.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// Builder twin of [`System::set_shards`].
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
+        self.shards = shards.max(1);
         self
     }
 
@@ -245,22 +230,9 @@ impl System {
         &self.config
     }
 
-    /// The address space in use.
-    pub fn space(&self) -> AddrSpace {
-        self.space
-    }
-
     /// Number of processors.
     pub fn cpus(&self) -> usize {
         self.config.cpus
-    }
-
-    /// The coherence protocol in use, as a behaviour object. Internal call
-    /// sites use `self.config.protocol` directly (static dispatch); this
-    /// accessor derives the same answer, so there is a single source of
-    /// protocol truth on the struct.
-    pub fn protocol(&self) -> &'static dyn CoherenceProtocol {
-        self.config.protocol.protocol()
     }
 
     /// Applies one trace reference.
@@ -269,15 +241,14 @@ impl System {
     }
 
     /// References per internal chunk of [`System::run`] (and the chunk
-    /// size streamed `run_app` callers should use). Each flush replays a
-    /// node's event log with the whole bank's arrays hot, and larger
-    /// chunks amortise their reload over more events, until the logs
-    /// themselves outgrow cache. Re-measured for event-major replay with
-    /// traced paper-all runs at scale 0.1 on a 2-vCPU x86_64 VM,
-    /// filter-replay seconds: 16Ki 0.67–1.23 (median 0.88 of 5), 64Ki
-    /// 0.83–0.96 (median 0.92 of 5), 256Ki 0.95–0.97 (2 runs). 256Ki
-    /// loses and 16Ki wins inconsistently, so 64Ki stays.
-    pub const CHUNK_LEN: usize = 65536;
+    /// size streamed `run_app` callers should use). Larger chunks
+    /// amortise each flush's reload of the bank over more events, but
+    /// every node's log and the trace buffer grow with them. On a 2-vCPU
+    /// x86_64 VM at scale 0.1, paper-all's replay took a median 0.88 s
+    /// at 16Ki and 0.92 s at 64Ki, and with checked runs logging too,
+    /// 64Ki cost checked-paper 7.6% peak RSS where 16Ki lowers it on
+    /// every perfbench workload.
+    pub const CHUNK_LEN: usize = 16384;
 
     /// Runs an entire trace through the system by buffering it into
     /// [`System::CHUNK_LEN`]-reference chunks and delegating to
@@ -300,23 +271,22 @@ impl System {
     /// Runs one pregenerated chunk of references.
     ///
     /// The protocol path (L1/L2/writeback/bus reactions) is inherently
-    /// sequential and always runs scalar, but filters are pure bystanders
-    /// whose state depends only on the ordered event stream each one
-    /// receives — so during the chunk the snoop path logs compact
-    /// per-node [`jetty_core::FilterEvent`]s, and the end-of-chunk flush
-    /// replays each node's list through its bank
-    /// ([`FilterBank::apply_batch`]), which runs the same per-event steps
-    /// as the eager calls — same order, same states, same activity
-    /// counters. Deferring keeps each bank's arrays out of the protocol
-    /// pass's working set, hot across a node's whole log, and lets
-    /// [`System::set_shards`] replay nodes in parallel.
+    /// sequential, but filters are pure bystanders whose state depends
+    /// only on the ordered event stream each one receives — so during the
+    /// chunk the snoop path logs compact per-node
+    /// [`jetty_core::FilterEvent`]s, and the end-of-chunk flush replays
+    /// each node's list through its bank ([`FilterBank::apply_batch`]).
+    /// Deferring keeps each bank's arrays out of the protocol pass's
+    /// working set, hot across a node's whole log, and lets
+    /// [`System::with_shards`] replay nodes in parallel.
     ///
-    /// Per-event path: runs under [`CheckLevel::Full`] skip batching so
-    /// the filter-safety assertion fires at the exact offending access
-    /// (deferral would report it at the chunk boundary), as do runs with
-    /// an empty filter bank (nothing to batch). All filter events are
-    /// flushed before this returns, so callers may inspect filter state
-    /// between chunks.
+    /// This is the one replay path, at every check level: no substrate
+    /// decision or [`CheckLevel::Full`] checker reads filter state, so
+    /// the checkers still see every intermediate state, and the
+    /// filter-safety panic fires at the flush, naming the earliest
+    /// offending event's unit, node and member. An empty bank logs
+    /// nothing. All events are flushed before this returns, so callers
+    /// may inspect filter state between chunks.
     ///
     /// [`CheckLevel::Full`]: crate::CheckLevel::Full
     pub fn run_chunk(&mut self, chunk: &[MemRef]) {
@@ -339,32 +309,19 @@ impl System {
         chunk: &[MemRef],
         gate: &crate::RunGate,
     ) -> Result<(), crate::GateStop> {
-        if self.config.check.is_full() || self.specs.is_empty() {
-            for &r in chunk {
-                self.apply(r);
-            }
-            return Ok(());
-        }
-        self.batching = true;
         for &r in chunk {
-            self.apply(r);
+            self.step(r.cpu, r.op, r.addr);
         }
-        self.batching = false;
         self.flush_filter_events(gate)
     }
 
-    /// Replays every node's deferred filter events through its bank,
-    /// event-major ([`FilterBank::apply_batch`]).
+    /// Replays every node's logged filter events through its bank.
     ///
-    /// With `shards > 1` the nodes are partitioned into contiguous
-    /// slices and each slice replays on its own scoped worker thread
-    /// (shard 0 runs inline on the calling thread). This is safe and
-    /// deterministic by construction: the serial protocol pass already
-    /// recorded every node's events in global bus order, each node's
-    /// filter bank touches only that node's state, and the reporting
-    /// paths ([`System::run_stats`], [`System::filter_reports`])
-    /// aggregate in node-index order — so the merge back to global
-    /// results is the same at any shard count, byte for byte.
+    /// With `shards > 1` each contiguous slice of nodes replays on its own
+    /// scoped worker thread (shard 0 inline). This is deterministic by
+    /// construction: the serial protocol pass logged every node's events
+    /// in bus order, a node's bank touches only that node's state, and
+    /// the reports aggregate in node-index order.
     fn flush_filter_events(&mut self, gate: &crate::RunGate) -> Result<(), crate::GateStop> {
         fn replay_slice(
             nodes: &mut [Node],
@@ -373,11 +330,7 @@ impl System {
         ) -> Result<(), crate::GateStop> {
             for (off, node) in nodes.iter_mut().enumerate() {
                 gate.check()?;
-                if node.events.is_empty() {
-                    continue;
-                }
-                node.filters.apply_batch(&node.events, base + off);
-                node.events.clear();
+                node.flush(base + off);
             }
             Ok(())
         }
@@ -411,15 +364,25 @@ impl System {
         results.into_iter().collect()
     }
 
-    /// Performs one CPU access.
+    /// Performs one CPU access and flushes its filter events, so the
+    /// caller observes filter state at once.
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range, or on any internal protocol
     /// violation (these are bugs, not recoverable conditions).
     pub fn access(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
+        let outcome = self.step(cpu, op, addr);
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.flush(i);
+        }
+        outcome
+    }
+
+    /// One CPU access with its filter events left logged for the flush.
+    fn step(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
         assert!(cpu < self.config.cpus, "cpu {cpu} out of range");
-        let unit = self.space.unit_of(addr);
+        let unit = self.config.addr.unit_of(addr);
         match op {
             Op::Read => self.read(cpu, unit),
             Op::Write => self.write(cpu, unit),
@@ -477,12 +440,12 @@ impl System {
 
     /// Direct L2 state inspection (tests).
     pub fn l2_state(&self, cpu: usize, addr: u64) -> Moesi {
-        self.nodes[cpu].l2.state(self.space.unit_of(addr))
+        self.nodes[cpu].l2.state(self.config.addr.unit_of(addr))
     }
 
     /// Direct L1 presence inspection (tests).
     pub fn l1_contains(&self, cpu: usize, addr: u64) -> bool {
-        self.nodes[cpu].l1.contains(self.space.unit_of(addr))
+        self.nodes[cpu].l1.contains(self.config.addr.unit_of(addr))
     }
 }
 
@@ -491,6 +454,7 @@ mod tests {
     use super::*;
     use crate::config::{L1Config, L2Config};
     use crate::protocol::ProtocolKind;
+    use jetty_core::AddrSpace;
 
     /// A tiny checked system so evictions happen quickly.
     fn tiny_with(protocol: ProtocolKind, specs: &[FilterSpec]) -> System {
@@ -857,5 +821,74 @@ mod tests {
             moesi.system.transactions()
         );
         assert_eq!(moesi.nodes.snoop_memory_writebacks, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Checker messages
+    // ------------------------------------------------------------------
+
+    /// Runs the invariant pass over unit 0 of a checked system whose L2s
+    /// hold `states`, written straight into the arrays (no protocol
+    /// action), and whose L1 on `l1_holder` (if any) holds the unit too.
+    fn check_corrupted(protocol: ProtocolKind, states: [Moesi; 4], l1_holder: Option<usize>) {
+        let mut sys = tiny_with(protocol, &[]);
+        let unit = sys.config.addr.unit_of(0);
+        for (node, state) in sys.nodes.iter_mut().zip(states).filter(|(_, s)| s.is_valid()) {
+            node.l2.fill(unit, state, 0);
+        }
+        if let Some(i) = l1_holder {
+            sys.nodes[i].l1.fill(unit, false);
+        }
+        sys.check_invariants(unit);
+    }
+
+    use Moesi::{Exclusive as E, Invalid as I, Modified as M, Owned as O, Shared as S};
+
+    #[test]
+    #[should_panic(
+        expected = "multiple M/E holders of u0x0: [Modified, Exclusive, Invalid, Invalid]"
+    )]
+    fn checker_names_two_exclusive_holders() {
+        check_corrupted(ProtocolKind::Moesi, [M, E, I, I], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple O holders of u0x0: [Owned, Shared, Owned, Invalid]")]
+    fn checker_names_two_owners() {
+        check_corrupted(ProtocolKind::Moesi, [O, S, O, I], None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "M/E copy of u0x0 coexists with other copies: [Invalid, Modified, Invalid, Shared]"
+    )]
+    fn checker_names_an_exclusive_copy_beside_a_shared_one() {
+        check_corrupted(ProtocolKind::Moesi, [I, M, I, S], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 holds O for u0x0, outside the MESI state set")]
+    fn checker_names_a_state_outside_the_protocol() {
+        check_corrupted(ProtocolKind::Mesi, [S, I, O, I], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "inclusion violated on node 3: u0x0 in L1 but not L2")]
+    fn checker_names_an_l1_copy_without_an_l2_copy() {
+        check_corrupted(ProtocolKind::Moesi, [I; 4], Some(3));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "UNSAFE FILTER: IJ-6x5x6 filtered a snoop to cached unit u0x2 on node 1"
+    )]
+    fn full_check_unsafe_filter_panics_at_the_flush() {
+        let mut sys = tiny(&[FilterSpec::exclude(8, 2), FilterSpec::include(6, 5, 6)]);
+        sys.access(1, Op::Read, 0x40);
+        // Untrack node 1's copy behind the L2's back: its IJ now filters
+        // snoops to a unit it caches.
+        let unit = sys.config.addr.unit_of(0x40);
+        sys.nodes[1].filters.on_deallocate(unit);
+        sys.run_chunk(&[MemRef::read(0, 0x40), MemRef::read(2, 0x80)]);
     }
 }

@@ -20,17 +20,31 @@ pub(super) struct Node {
     pub(super) wb: WritebackBuffer,
     pub(super) filters: FilterBank,
     pub(super) stats: NodeStats,
-    /// Filter notifications deferred during a batched chunk
-    /// ([`System::run_chunk`](super::System::run_chunk)): the protocol path
-    /// logs one compact event per notification here instead of walking the
-    /// whole bank per snoop, and the chunk flush replays the list through
-    /// each filter in turn. Empty outside batched runs, and drained before
-    /// `run_chunk` returns. The buffer's capacity is retained across
-    /// chunks, so steady-state logging allocates nothing.
+    /// Filter notifications not yet replayed ([`Node::flush`]); every
+    /// public `System` entry point drains them unless a gate stops it.
+    /// The capacity is retained, so steady-state logging allocates nothing.
     pub(super) events: Vec<FilterEvent>,
 }
 
 impl Node {
+    /// Logs a filter notification for the next flush. A node whose bank is
+    /// empty (fixed at construction) has no one to notify and logs nothing.
+    #[inline]
+    pub(super) fn log(&mut self, event: FilterEvent) {
+        if !self.filters.is_empty() {
+            self.events.push(event);
+        }
+    }
+
+    /// Replays the logged events through the bank and clears the log;
+    /// `index` (this node's) labels the filter-safety panic.
+    pub(super) fn flush(&mut self, index: usize) {
+        if !self.events.is_empty() {
+            self.filters.apply_batch(&self.events, index);
+            self.events.clear();
+        }
+    }
+
     /// On a local L2 miss, checks the node's own writeback buffer for the
     /// unit (evicted dirty, not yet at memory) and extracts it if present.
     pub(super) fn l2_miss_wb_forward(&mut self, unit: UnitAddr) -> Option<WbEntry> {

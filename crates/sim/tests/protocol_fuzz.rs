@@ -9,33 +9,16 @@
 //! live (both protocol bugs found during bring-up reproduce here within a
 //! handful of cases when reverted).
 
+mod common;
+
+use common::ref_strategy;
 use jetty_core::{AddrSpace, FilterSpec};
-use jetty_sim::{
-    CheckLevel, L1Config, L2Config, MemRef, Moesi, Op, ProtocolKind, System, SystemConfig,
-};
+use jetty_sim::{CheckLevel, L1Config, L2Config, Moesi, Op, ProtocolKind, System, SystemConfig};
 use proptest::prelude::*;
 
-/// A tiny checked SMP: 8-line L1s, 16-block L2s, 2-entry writeback
-/// buffers — everything thrashes.
+/// The tiny thrashing geometry, fully checked.
 fn tiny_config(cpus: usize, protocol: ProtocolKind) -> SystemConfig {
-    SystemConfig {
-        cpus,
-        l1: L1Config::new(256, 32),
-        l2: L2Config::new(1024, 64, 2),
-        wb_entries: 2,
-        addr: AddrSpace::default(),
-        check: CheckLevel::Full,
-        protocol,
-    }
-}
-
-/// Reference strategy over a small, highly contended address range.
-fn ref_strategy(cpus: usize, units: u64) -> impl Strategy<Value = MemRef> {
-    (0..cpus, any::<bool>(), 0..units).prop_map(|(cpu, write, unit)| MemRef {
-        cpu,
-        op: if write { Op::Write } else { Op::Read },
-        addr: unit * 32,
-    })
+    common::tiny_config(cpus, protocol, CheckLevel::Full)
 }
 
 /// Exhaustive protocol-specific state audit: no node may hold a state

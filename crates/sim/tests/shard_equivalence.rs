@@ -10,32 +10,12 @@
 //! with arbitrary traces, arbitrary chunk boundaries, and every
 //! pluggable protocol.
 
-use jetty_core::{AddrSpace, FilterSpec};
-use jetty_sim::{CheckLevel, L1Config, L2Config, MemRef, Op, ProtocolKind, System, SystemConfig};
+mod common;
+
+use common::{assert_same_observables, ref_strategy, tiny_config};
+use jetty_core::FilterSpec;
+use jetty_sim::{CheckLevel::Off, MemRef, Op, ProtocolKind, System};
 use proptest::prelude::*;
-
-/// The tiny thrashing geometry from `batch_equivalence`, checks off so
-/// `run_chunk` takes the batched (and thus shardable) path.
-fn tiny_config(cpus: usize, protocol: ProtocolKind) -> SystemConfig {
-    SystemConfig {
-        cpus,
-        l1: L1Config::new(256, 32),
-        l2: L2Config::new(1024, 64, 2),
-        wb_entries: 2,
-        addr: AddrSpace::default(),
-        check: CheckLevel::Off,
-        protocol,
-    }
-}
-
-/// Reference strategy over a small, highly contended address range.
-fn ref_strategy(cpus: usize, units: u64) -> impl Strategy<Value = MemRef> {
-    (0..cpus, any::<bool>(), 0..units).prop_map(|(cpu, write, unit)| MemRef {
-        cpu,
-        op: if write { Op::Write } else { Op::Read },
-        addr: unit * 32,
-    })
-}
 
 /// Runs `refs` through a serial (shards=1) system and one system per
 /// sharded count, then asserts every observable matches.
@@ -47,43 +27,18 @@ fn assert_shards_match_serial(
     specs: &[FilterSpec],
     units: u64,
 ) {
-    let mut serial = System::new(tiny_config(cpus, protocol), specs);
+    let mut serial = System::new(tiny_config(cpus, protocol, Off), specs);
     for chunk in refs.chunks(chunk_len) {
         serial.run_chunk(chunk);
     }
-    let serial_stats = serial.run_stats();
-    let serial_reports = serial.filter_reports();
-
     // 2 and 4 split the node array evenly and unevenly; 7 exceeds the
     // node count and must clamp to one node per shard.
     for shards in [2usize, 4, 7] {
-        let mut sharded = System::new(tiny_config(cpus, protocol), specs).with_shards(shards);
+        let mut sharded = System::new(tiny_config(cpus, protocol, Off), specs).with_shards(shards);
         for chunk in refs.chunks(chunk_len) {
             sharded.run_chunk(chunk);
         }
-        assert_eq!(
-            sharded.run_stats(),
-            serial_stats,
-            "{protocol} shards={shards}: protocol stats diverged"
-        );
-        for cpu in 0..cpus {
-            for unit in 0..units {
-                assert_eq!(
-                    sharded.l2_state(cpu, unit * 32),
-                    serial.l2_state(cpu, unit * 32),
-                    "{protocol} shards={shards}: node {cpu} unit {unit} state diverged"
-                );
-            }
-        }
-        let reports = sharded.filter_reports();
-        assert_eq!(reports.len(), serial_reports.len());
-        for (b, s) in reports.iter().zip(&serial_reports) {
-            assert_eq!(b.label, s.label);
-            assert_eq!(b.probes, s.probes, "{}: probe count diverged", b.label);
-            assert_eq!(b.filtered, s.filtered, "{}: filtered count diverged", b.label);
-            assert_eq!(b.would_miss, s.would_miss, "{}: would-miss diverged", b.label);
-            assert_eq!(b.activities, s.activities, "{}: array activity diverged", b.label);
-        }
+        assert_same_observables(&sharded, &serial, units, &format!("{protocol} shards={shards}"));
         sharded.verify_filter_consistency();
     }
 }
@@ -170,8 +125,8 @@ fn sharded_replay_observes_the_gate() {
             addr: (i % 48) * 32,
         })
         .collect();
-    let mut sys =
-        System::new(tiny_config(4, ProtocolKind::Moesi), &FilterSpec::paper_bank()).with_shards(4);
+    let mut sys = System::new(tiny_config(4, ProtocolKind::Moesi, Off), &FilterSpec::paper_bank())
+        .with_shards(4);
     let expired = jetty_sim::RunGate::with_budget(std::time::Duration::ZERO);
     let stop = sys.run_chunk_gated(&refs, &expired).unwrap_err();
     assert!(

@@ -84,7 +84,7 @@ impl TraceGen {
                 )
             })
             .collect();
-        let total = ((profile.accesses as f64 * scale).round() as u64).max(ncpu as u64);
+        let total = Self::len_for(profile, ncpu, scale);
         Self {
             rngs,
             states,
@@ -111,6 +111,12 @@ impl TraceGen {
     /// debug-asserts this single-pass discipline).
     pub fn len(&self) -> u64 {
         self.total
+    }
+
+    /// The [`TraceGen::len`] a generator for `profile` on an `ncpu`-way
+    /// SMP at `scale` would have, without building it.
+    pub fn len_for(profile: &AppProfile, ncpu: usize, scale: f64) -> u64 {
+        ((profile.accesses as f64 * scale).round() as u64).max(ncpu as u64)
     }
 
     /// `true` when the trace is empty (never the case for valid profiles).

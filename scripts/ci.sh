@@ -27,12 +27,15 @@ cargo bench --no-run
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-# Golden stdout must be byte-identical at every shard count — the
-# intra-run replay fan-out is an implementation detail, never an
-# observable one.
+# Golden stdout must be byte-identical at every shard count and check
+# level — the intra-run replay fan-out and full checking are
+# implementation details, never observable ones.
 for shards in 1 2; do
   echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
   JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
+
+  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 --check vs tests/golden/all_scale002.txt"
+  JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 --check | diff -u tests/golden/all_scale002.txt -
 
   echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
   JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
