@@ -1,6 +1,6 @@
 //! Golden-output determinism guard.
 //!
-//! `jetty-repro all` (and the `protocols` extension) stdout is kept
+//! `jetty-repro all` (and the `protocols` and `sweep` extensions) stdout is kept
 //! byte-comparable across versions: the whole reproduction is
 //! deterministic (synthetic traces, fixed seeds, a deterministic engine),
 //! so any stdout drift is either an intentional output change — update the
@@ -18,6 +18,8 @@
 //!     > tests/golden/all_scale002.txt
 //! cargo run --release --bin jetty-repro -- protocols --scale 0.02 --threads 2 \
 //!     > tests/golden/protocols_scale002.txt
+//! cargo run --release --bin jetty-repro -- sweep --scale 0.02 --threads 2 \
+//!     > tests/golden/sweep_scale002.txt
 //! ```
 
 use std::path::PathBuf;
@@ -90,6 +92,12 @@ fn sharded_all_scale002_stdout_matches_the_golden_file() {
 #[test]
 fn protocols_scale002_stdout_matches_the_golden_file() {
     assert_matches_golden("protocols", "protocols_scale002.txt");
+}
+
+#[test]
+fn sweep_scale002_stdout_matches_the_golden_file() {
+    // The default grid is the only exhibit with the 8-way MESI/MSI platforms.
+    assert_matches_golden("sweep", "sweep_scale002.txt");
 }
 
 #[test]

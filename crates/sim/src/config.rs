@@ -2,6 +2,7 @@
 
 use jetty_core::AddrSpace;
 
+use crate::l2::L2Cache;
 use crate::protocol::ProtocolKind;
 
 /// Geometry of a direct-mapped L1 data cache.
@@ -193,7 +194,9 @@ impl SystemConfig {
     ///
     /// Panics if the L1 block size differs from the L2 subblock size, if
     /// the address-space unit shift differs from the L2 subblock shift, if
-    /// there are fewer than two CPUs, or if the writeback buffer is empty.
+    /// there are fewer than two CPUs, if the writeback buffer is empty, or
+    /// if an L2 tag (the address bits above the block offset and index)
+    /// could need more than [`L2Cache::TAG_BITS`] bits.
     pub fn validate(&self) {
         assert!(self.cpus >= 2, "an SMP needs at least two processors, got {}", self.cpus);
         assert_eq!(
@@ -211,6 +214,15 @@ impl SystemConfig {
             self.l2.block_shift(),
             "address-space block shift must match the L2 block shift (exclude \
              filters record absence at tag granularity)"
+        );
+        let tag_bits = self.addr.block_bits().saturating_sub(self.l2.blocks().trailing_zeros());
+        assert!(
+            tag_bits <= L2Cache::TAG_BITS,
+            "L2 tag too wide: a {}-bit address space over {} L2 blocks needs {tag_bits} tag \
+             bits, but an L2 block record holds at most {}",
+            self.addr.pa_bits(),
+            self.l2.blocks(),
+            L2Cache::TAG_BITS
         );
         assert!(self.wb_entries >= 1, "writeback buffer needs at least one entry");
     }
@@ -292,6 +304,25 @@ mod tests {
     fn validate_rejects_uniprocessor() {
         let mut c = SystemConfig::paper_4way();
         c.cpus = 1;
+        c.validate();
+    }
+
+    #[test]
+    fn validate_accepts_a_tag_that_fills_the_record() {
+        // 60-bit addresses over 16Ki 64-byte blocks: 40 tag bits.
+        let mut c = SystemConfig::paper_4way();
+        c.addr = AddrSpace::with_block_shift(60, 5, 6);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "L2 tag too wide: a 64-bit address space over 16384 L2 blocks needs 44 tag \
+                    bits, but an L2 block record holds at most 40"
+    )]
+    fn validate_rejects_a_tag_wider_than_the_record() {
+        let mut c = SystemConfig::paper_4way();
+        c.addr = AddrSpace::with_block_shift(64, 5, 6);
         c.validate();
     }
 

@@ -17,57 +17,65 @@
 //! # Storage layout (hot path)
 //!
 //! The simulator probes this structure on every snoop of every bus
-//! transaction, so everything a snoop probe reads is packed into **one
-//! 16-byte record per block**: a flat `hot` array of `u128` whose low 64
-//! bits hold the block tag and whose high 64 bits hold the *meta* word —
-//! the packed valid bitmask in bits `0..8` (bit `sub` set ⇔ subblock
-//! `sub` valid) and one 4-bit MOESI nibble per subblock at bits
-//! `8 + 4*sub`. A snoop probe is then a single load touching a single
-//! cache line (four records per 64-byte line), answering tag match,
-//! block presence, subblock validity *and* the coherence state at once;
-//! the previous layout split tags, valid masks and states across three
-//! arrays and three cache lines. Only the checker-support data *version*
-//! stays cold, in a flat `versions` array indexed
-//! `block * subblocks + sub` — the protocol hot path never reads it on a
-//! filtered snoop. The invariants — valid bit set ⇔ the state nibble
-//! encodes a valid MOESI state, valid bit clear ⇒ nibble is 0 and
+//! transaction (and on every L1-hit store, which checks L2 presence), so
+//! everything a snoop probe reads is packed into **one 8-byte record per
+//! block**: a flat `hot` array of `u64` laid out `tag << 24 | meta`. The
+//! 24-bit meta field holds the valid bitmask in bits `0..8` (bit `sub`
+//! set ⇔ subblock `sub` valid) and one 2-bit MOESI state code per
+//! subblock at bits `8 + 2*sub`; the upper 40 bits hold the block tag. A
+//! snoop probe is then a single load touching a single cache line (eight
+//! records per 64-byte line), answering tag match, block presence,
+//! subblock validity *and* the coherence state at once. Only the
+//! checker-support data *version* stays cold, in a flat `versions` array
+//! indexed `block * subblocks + sub` — the protocol hot path never reads
+//! it on a filtered snoop. The invariants — valid bit set ⇔ the state
+//! code encodes a valid MOESI state, valid bit clear ⇒ code is 0 and
 //! `versions[u] == 0` — are maintained by every mutation below.
 //!
 //! The 8-bit valid mask bounds `subblocks` to 8 (the paper uses 2, the
-//! NSB variant 1), and the nibble field encodes only *valid* states:
-//! `Invalid` is represented by a clear valid bit, never by a nibble.
+//! NSB variant 1), and the code field encodes only *valid* states:
+//! `Invalid` is represented by a clear valid bit, never by a code. The
+//! tag field bounds tags to [`L2Cache::TAG_BITS`] bits: the paper geometries
+//! need 20, and [`SystemConfig::validate`](crate::SystemConfig::validate)
+//! rejects any address space whose tags could need more.
 
 use jetty_core::UnitAddr;
 
 use crate::config::L2Config;
 use crate::moesi::Moesi;
 
-/// Low 8 bits of a hot record's meta half: the packed valid bitmask
-/// (bit `sub` set ⇔ subblock `sub` valid).
-const L2_META_VALID_MASK: u64 = 0xFF;
+/// Bits below the tag in a hot record: the valid mask and state codes.
+const META_BITS: u32 = 64 - L2Cache::TAG_BITS;
 
-/// Packs a valid MOESI state into its 4-bit hot-record nibble.
-fn state_nibble(state: Moesi) -> u64 {
+/// The meta field of a hot record (valid mask + state codes).
+const META_MASK: u64 = (1 << META_BITS) - 1;
+
+/// Low 8 bits of a hot record: the packed valid bitmask (bit `sub` set ⇔
+/// subblock `sub` valid).
+const VALID_MASK: u64 = 0xFF;
+
+/// Packs a valid MOESI state into its 2-bit hot-record code.
+fn state_code(state: Moesi) -> u64 {
     match state {
         Moesi::Modified => 0,
         Moesi::Owned => 1,
         Moesi::Exclusive => 2,
         Moesi::Shared => 3,
-        Moesi::Invalid => unreachable!("Invalid is a clear valid bit, never a nibble"),
+        Moesi::Invalid => unreachable!("Invalid is a clear valid bit, never a code"),
     }
 }
 
-/// Unpacks a hot-record state nibble (only called under a set valid bit).
-/// Valid nibbles are 0..=3, so a 2-bit mask into a const table decodes
-/// without a reachable panic path — the bounds check folds away.
-fn nibble_state(nibble: u64) -> Moesi {
+/// Unpacks a hot-record state code (only called under a set valid bit).
+/// A 2-bit mask into a const table decodes without a reachable panic
+/// path — the bounds check folds away.
+fn code_state(code: u64) -> Moesi {
     const STATES: [Moesi; 4] = [Moesi::Modified, Moesi::Owned, Moesi::Exclusive, Moesi::Shared];
-    STATES[(nibble & 0x3) as usize]
+    STATES[(code & 0x3) as usize]
 }
 
-/// Bit offset of subblock `sub`'s state nibble within the meta word.
-fn nibble_shift(sub: usize) -> u32 {
-    8 + 4 * sub as u32
+/// Bit offset of subblock `sub`'s state code within a hot record.
+fn code_shift(sub: usize) -> u32 {
+    8 + 2 * sub as u32
 }
 
 /// A valid subblock displaced by a block eviction.
@@ -85,9 +93,9 @@ pub struct EvictedUnit {
 /// the module docs for the layout and its invariants).
 #[derive(Clone, Debug)]
 pub struct L2Cache {
-    /// Per-block hot record: tag in the low 64 bits; valid bitmask and
-    /// packed state nibbles in the high 64 (the meta word).
-    hot: Vec<u128>,
+    /// Per-block hot record: `tag << 24 | meta`, the meta field holding
+    /// the valid bitmask and packed state codes.
+    hot: Vec<u64>,
     /// Per-subblock data version (checker support), indexed
     /// `block * subblocks + sub` — cold: never read on the probe path.
     /// Empty for a cache built [`without_versions`](L2Cache::without_versions).
@@ -100,6 +108,10 @@ pub struct L2Cache {
 }
 
 impl L2Cache {
+    /// Width of a hot record's tag field: the widest block tag a fill
+    /// accepts.
+    pub const TAG_BITS: u32 = 40;
+
     /// Creates an empty L2 that tracks data versions.
     pub fn new(config: L2Config) -> Self {
         Self::build(config, true)
@@ -126,26 +138,6 @@ impl L2Cache {
             index_mask: blocks as u64 - 1,
             index_bits: blocks.trailing_zeros(),
         }
-    }
-
-    /// Number of blocks in the hot array.
-    fn blocks(&self) -> usize {
-        self.hot.len()
-    }
-
-    /// The meta word (valid mask + state nibbles) of block `idx`.
-    fn meta(&self, idx: usize) -> u64 {
-        (self.hot[idx] >> 64) as u64
-    }
-
-    /// The tag of block `idx`.
-    fn tag(&self, idx: usize) -> u64 {
-        self.hot[idx] as u64
-    }
-
-    /// Overwrites the meta word of block `idx`, leaving the tag.
-    fn set_meta(&mut self, idx: usize, meta: u64) {
-        self.hot[idx] = (self.hot[idx] & u64::MAX as u128) | ((meta as u128) << 64);
     }
 
     /// Splits a unit address into (block index, block tag, subblock index).
@@ -180,16 +172,15 @@ impl L2Cache {
     /// `true` when `unit`'s subblock is valid under a matching tag.
     fn is_present(&self, idx: usize, tag: u64, sub: usize) -> bool {
         let rec = self.hot[idx];
-        ((rec >> 64) as u64) & (1u64 << sub) != 0 && rec as u64 == tag
+        rec & (1u64 << sub) != 0 && rec >> META_BITS == tag
     }
 
     /// MOESI state of `unit` (`Invalid` when absent or tag mismatch).
     pub fn state(&self, unit: UnitAddr) -> Moesi {
         let (idx, tag, sub) = self.split(unit);
         let rec = self.hot[idx];
-        let meta = (rec >> 64) as u64;
-        if meta & (1u64 << sub) != 0 && rec as u64 == tag {
-            nibble_state(meta >> nibble_shift(sub))
+        if rec & (1u64 << sub) != 0 && rec >> META_BITS == tag {
+            code_state(rec >> code_shift(sub))
         } else {
             Moesi::Invalid
         }
@@ -202,21 +193,20 @@ impl L2Cache {
     pub fn block_present(&self, unit: UnitAddr) -> bool {
         let (idx, tag, _) = self.split(unit);
         let rec = self.hot[idx];
-        ((rec >> 64) as u64) & L2_META_VALID_MASK != 0 && rec as u64 == tag
+        rec & VALID_MASK != 0 && rec >> META_BITS == tag
     }
 
     /// One-shot snoop probe: `(state, block_present)` from a single
-    /// address split and one 16-byte hot-record load (the bus delivers
-    /// both questions for every snoop, and the packed state nibble means
+    /// address split and one 8-byte hot-record load (the bus delivers
+    /// both questions for every snoop, and the packed state code means
     /// even the state answer costs no second array read).
     pub fn snoop_probe(&self, unit: UnitAddr) -> (Moesi, bool) {
         let (idx, tag, sub) = self.split(unit);
         let rec = self.hot[idx];
-        let meta = (rec >> 64) as u64;
-        let mask = meta & L2_META_VALID_MASK;
-        let block_present = mask != 0 && rec as u64 == tag;
+        let mask = rec & VALID_MASK;
+        let block_present = mask != 0 && rec >> META_BITS == tag;
         let state = if block_present && mask & (1u64 << sub) != 0 {
-            nibble_state(meta >> nibble_shift(sub))
+            code_state(rec >> code_shift(sub))
         } else {
             Moesi::Invalid
         };
@@ -244,13 +234,12 @@ impl L2Cache {
     /// absent units are protocol bugs.
     pub fn set_state(&mut self, unit: UnitAddr, state: Moesi) {
         // Invalidation must go through `invalidate` — writing `Invalid`
-        // here would desynchronise the valid bitmask from the nibbles.
+        // here would desynchronise the valid bitmask from the codes.
         assert!(state.is_valid(), "set_state with Invalid (use invalidate)");
         let (idx, tag, sub) = self.split(unit);
         assert!(self.is_present(idx, tag, sub), "set_state on absent unit {unit}");
-        let sh = nibble_shift(sub);
-        let meta = (self.meta(idx) & !(0xF << sh)) | (state_nibble(state) << sh);
-        self.set_meta(idx, meta);
+        let sh = code_shift(sub);
+        self.hot[idx] = (self.hot[idx] & !(0x3 << sh)) | (state_code(state) << sh);
     }
 
     /// Stamps a present unit with a new data version (store completion).
@@ -275,11 +264,11 @@ impl L2Cache {
         let (idx, tag, sub) = self.split(unit);
         assert!(self.is_present(idx, tag, sub), "invalidate on absent unit {unit}");
         let slot = self.slot(idx, sub);
-        let meta = self.meta(idx);
-        let sh = nibble_shift(sub);
-        let prior = (nibble_state(meta >> sh), self.replace_version(slot, 0));
-        // Clear the valid bit and zero the nibble (module invariant).
-        self.set_meta(idx, meta & !(1u64 << sub) & !(0xF << sh));
+        let rec = self.hot[idx];
+        let sh = code_shift(sub);
+        let prior = (code_state(rec >> sh), self.replace_version(slot, 0));
+        // Clear the valid bit and zero the code (module invariant).
+        self.hot[idx] = rec & !(1u64 << sub) & !(0x3 << sh);
         prior
     }
 
@@ -296,7 +285,8 @@ impl L2Cache {
     /// # Panics
     ///
     /// Panics when filling a unit that is already valid (the protocol only
-    /// fills on misses) or with an `Invalid` state.
+    /// fills on misses), with an `Invalid` state, or when the unit's tag
+    /// needs more than [`L2Cache::TAG_BITS`] bits.
     pub fn fill_into(
         &mut self,
         unit: UnitAddr,
@@ -307,28 +297,35 @@ impl L2Cache {
         assert!(state.is_valid(), "fill with Invalid state");
         evicted.clear();
         let (idx, tag, sub) = self.split(unit);
-        let meta = self.meta(idx);
-        let victim_tag = self.tag(idx);
-        if meta & L2_META_VALID_MASK != 0 && victim_tag != tag {
-            let mut mask = meta & L2_META_VALID_MASK;
+        assert!(
+            tag >> Self::TAG_BITS == 0,
+            "unit {unit} has an L2 tag wider than {} bits",
+            Self::TAG_BITS
+        );
+        let rec = self.hot[idx];
+        let mut meta = rec & META_MASK;
+        let victim_tag = rec >> META_BITS;
+        if meta & VALID_MASK != 0 && victim_tag != tag {
+            let mut mask = meta & VALID_MASK;
             while mask != 0 {
                 let s = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let slot = self.slot(idx, s);
                 evicted.push(EvictedUnit {
                     unit: self.unit_addr(idx, victim_tag, s),
-                    state: nibble_state(meta >> nibble_shift(s)),
+                    state: code_state(meta >> code_shift(s)),
                     version: self.replace_version(slot, 0),
                 });
             }
-            self.hot[idx] = 0;
+            meta = 0;
         }
-        assert!(!self.is_present(idx, tag, sub), "fill of already-valid unit {unit}");
+        // With no conflict, either the block is empty or its tag matches,
+        // so the subblock's own valid bit decides presence.
+        assert!(meta & (1u64 << sub) == 0, "fill of already-valid unit {unit}");
+        // The subblock's code bits are 0 under its clear valid bit.
+        let new_meta = meta | (1u64 << sub) | (state_code(state) << code_shift(sub));
+        self.hot[idx] = (tag << META_BITS) | new_meta;
         let slot = self.slot(idx, sub);
-        let sh = nibble_shift(sub);
-        let new_meta =
-            (self.meta(idx) & !(0xF << sh)) | (1u64 << sub) | (state_nibble(state) << sh);
-        self.hot[idx] = tag as u128 | ((new_meta as u128) << 64);
         self.replace_version(slot, version);
     }
 
@@ -343,21 +340,17 @@ impl L2Cache {
 
     /// Iterates over all valid units with their states (checker aid).
     pub fn valid_units(&self) -> impl Iterator<Item = (UnitAddr, Moesi)> + '_ {
-        (0..self.blocks()).flat_map(move |idx| {
-            let tag = self.tag(idx);
-            let meta = self.meta(idx);
-            (0..self.subblocks).filter(move |&sub| meta & (1u64 << sub) != 0).map(move |sub| {
-                (self.unit_addr(idx, tag, sub), nibble_state(meta >> nibble_shift(sub)))
-            })
+        self.hot.iter().enumerate().flat_map(move |(idx, &rec)| {
+            let tag = rec >> META_BITS;
+            (0..self.subblocks)
+                .filter(move |&sub| rec & (1u64 << sub) != 0)
+                .map(move |sub| (self.unit_addr(idx, tag, sub), code_state(rec >> code_shift(sub))))
         })
     }
 
     /// Number of valid units currently cached.
     pub fn population(&self) -> usize {
-        self.hot
-            .iter()
-            .map(|&rec| (((rec >> 64) as u64) & L2_META_VALID_MASK).count_ones() as usize)
-            .sum()
+        self.hot.iter().map(|&rec| (rec & VALID_MASK).count_ones() as usize).sum()
     }
 }
 
@@ -529,10 +522,10 @@ mod tests {
     #[test]
     fn paper_sized_l2_geometry() {
         let l2 = L2Cache::new(L2Config::default());
-        assert_eq!(l2.blocks(), 16384);
         assert_eq!(l2.subblocks, 2);
-        // One 16-byte hot record per block; versions stay per-subblock.
+        // One 8-byte hot record per block; versions stay per-subblock.
         assert_eq!(l2.hot.len(), 16384);
+        assert_eq!(std::mem::size_of_val(&l2.hot[..]), 128 * 1024);
         assert_eq!(l2.versions.len(), 16384 * 2);
     }
 
@@ -558,10 +551,65 @@ mod tests {
     }
 
     #[test]
-    fn state_nibbles_round_trip() {
+    fn state_codes_round_trip() {
         for s in [Moesi::Modified, Moesi::Owned, Moesi::Exclusive, Moesi::Shared] {
-            assert_eq!(nibble_state(state_nibble(s)), s);
+            assert_eq!(code_state(state_code(s)), s);
         }
+    }
+
+    #[test]
+    fn full_width_tags_round_trip() {
+        // Bits 39 and 0 set, so a truncated or shifted tag field shows.
+        const TAG: u64 = (1 << 39) | 0x5A_A5A5_5A5B;
+        for subblocks in [1, 2, 8] {
+            // 4 blocks: 2 index bits.
+            let mut l2 = L2Cache::new(L2Config::new(4 * 64, 64, subblocks));
+            let sub_bits = subblocks.trailing_zeros();
+            let unit =
+                |tag: u64, sub: usize| UnitAddr::new((((tag << 2) | 3) << sub_bits) | sub as u64);
+            let last = unit(TAG, subblocks - 1);
+            let first = unit(TAG, 0);
+            assert!(l2.fill(last, Moesi::Owned, 5).is_empty());
+            assert_eq!(l2.snoop_probe(last), (Moesi::Owned, true));
+            assert!(l2.block_present(first));
+            assert_eq!(l2.version(last), 5);
+            l2.set_state(last, Moesi::Shared);
+            assert_eq!(l2.state(last), Moesi::Shared);
+            let mut resident = vec![(last.raw(), Moesi::Shared)];
+            if subblocks > 1 {
+                assert_eq!(l2.state(first), Moesi::Invalid);
+                assert!(l2.fill(first, Moesi::Modified, 6).is_empty());
+                resident.insert(0, (first.raw(), Moesi::Modified));
+            }
+            let mut got: Vec<(u64, Moesi)> = l2.valid_units().map(|(u, s)| (u.raw(), s)).collect();
+            got.sort_unstable_by_key(|&(u, _)| u);
+            assert_eq!(got, resident);
+            assert_eq!(l2.population(), resident.len());
+
+            // Tags differing only in bit 39, or only past the field, miss.
+            let rival = unit(TAG ^ (1 << 39), subblocks - 1);
+            assert_eq!(l2.snoop_probe(rival), (Moesi::Invalid, false));
+            assert_eq!(l2.state(unit(TAG | (1 << 40), subblocks - 1)), Moesi::Invalid);
+
+            // A conflicting fill evicts every subblock under its full tag.
+            let evicted = l2.fill(rival, Moesi::Exclusive, 9);
+            let mut got: Vec<(u64, Moesi)> =
+                evicted.iter().map(|e| (e.unit.raw(), e.state)).collect();
+            got.sort_unstable_by_key(|&(u, _)| u);
+            assert_eq!(got, resident);
+            assert_eq!(evicted.iter().find(|e| e.unit == last).map(|e| e.version), Some(5));
+            assert_eq!(l2.state(last), Moesi::Invalid);
+            assert_eq!(l2.population(), 1);
+            assert_eq!(l2.invalidate(rival), (Moesi::Exclusive, 9));
+            assert_eq!(l2.population(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "has an L2 tag wider than 40 bits")]
+    fn fill_rejects_a_tag_wider_than_the_record() {
+        // 2 index bits and 1 subblock bit below the tag.
+        small().fill(UnitAddr::new(1 << (40 + 2 + 1)), Moesi::Shared, 0);
     }
 
     #[test]

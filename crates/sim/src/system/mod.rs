@@ -355,7 +355,9 @@ impl System {
                 .collect();
             results.push(replay_slice(first, 0, gate));
             for h in handles {
-                results.push(h.join().expect("shard replay worker panicked"));
+                // Re-raise a worker's panic as is, so an UNSAFE FILTER
+                // message keeps its filter, unit and node.
+                results.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
             }
         });
         // Deterministic merge of stop reasons: the lowest shard index
@@ -889,6 +891,20 @@ mod tests {
         // snoops to a unit it caches.
         let unit = sys.config.addr.unit_of(0x40);
         sys.nodes[1].filters.on_deallocate(unit);
+        sys.run_chunk(&[MemRef::read(0, 0x40), MemRef::read(2, 0x80)]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "UNSAFE FILTER: IJ-6x5x6 filtered a snoop to cached unit u0x2 on node 3"
+    )]
+    fn unsafe_filter_panic_on_a_spawned_shard_keeps_its_message() {
+        // Two shards over four nodes: node 3 replays on the spawned worker.
+        let mut sys =
+            tiny(&[FilterSpec::exclude(8, 2), FilterSpec::include(6, 5, 6)]).with_shards(2);
+        sys.access(3, Op::Read, 0x40);
+        let unit = sys.config.addr.unit_of(0x40);
+        sys.nodes[3].filters.on_deallocate(unit);
         sys.run_chunk(&[MemRef::read(0, 0x40), MemRef::read(2, 0x80)]);
     }
 }

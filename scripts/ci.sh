@@ -39,10 +39,11 @@ for shards in 1 2; do
 
   echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
   JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
-done
 
-echo "==> sweep smoke: jetty-repro sweep --scale 0.02 --threads 2"
-target/release/jetty-repro sweep --scale 0.02 --threads 2 >/dev/null
+  # The sweep is the only exhibit with the 8-way MESI/MSI platforms.
+  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro sweep --scale 0.02 --threads 2 vs tests/golden/sweep_scale002.txt"
+  JETTY_SHARDS=$shards target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
+done
 
 echo "==> JSON validity: renderer output parsed by the in-tree rust parser (no shell tools)"
 cargo test -q -p jetty-experiments --test renderers json_ -- --nocapture
