@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use jetty_core::{AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, UnitAddr};
-use jetty_sim::{FastMap, L2Cache, L2Config, Moesi};
+use jetty_sim::{FastMap, L2Cache, L2Config, Moesi, System};
 use jetty_workloads::{apps, TraceGen};
 
 /// Deterministic xorshift stream of unit addresses (35-bit space).
@@ -177,7 +177,7 @@ fn event_batch(addrs: &[u64]) -> Vec<FilterEvent> {
 }
 
 fn batch_probe_benches(c: &mut Criterion) {
-    let addrs = addresses(1 << 13); // one System::CHUNK_LEN worth of events
+    let addrs = addresses(System::CHUNK_LEN); // one chunk's worth of events
     let events = event_batch(&addrs);
     let mut group = c.benchmark_group("hotpath");
     group.sample_size(20);

@@ -49,9 +49,9 @@
 //! degrades that suite instead of the whole batch. A job can fail by
 //! injected fault ([`crate::fault`]), by blowing its deadline
 //! ([`Engine::with_deadline`], checked at chunk boundaries through a
-//! [`RunGate`]), or by panicking — panics are caught per job (in unwind
-//! builds; the release profile aborts by design) and reported through the
-//! job's result slot. When any job of a simulation fails, its shared
+//! [`RunGate`]), or by panicking — panics are caught per job (every
+//! profile unwinds, the release binary included) and reported through
+//! the job's result slot. When any job of a simulation fails, its shared
 //! cancellation flag stops the sibling jobs at their next chunk boundary:
 //! their partial results could never be used. A failed simulation fails
 //! every suite it served, each under its own id with the same error kind
@@ -657,9 +657,8 @@ impl Engine {
                 None => RunGate::unbounded(),
             }
             .with_cancel(Arc::clone(&cancels[job.sim]));
-            // Panics are contained per job in unwind builds (tests, dev);
-            // the release profile aborts on panic by design, so there a
-            // panic remains what it always was: a process-fatal bug.
+            // Panics are contained per job: every profile unwinds, so a
+            // panicking job fails its own suite, in the release binary too.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_app_gated(&profiles[job.app], options, shards, &gate)
             }))
@@ -766,8 +765,8 @@ impl Engine {
     /// per-job wall-clock) into the slot matching the job index, so
     /// assembly order is independent of claim and completion order. A
     /// slot left empty — a worker that died without depositing, which
-    /// catch_unwind makes unreachable in unwind builds — degrades to a
-    /// per-job error, never a panic.
+    /// catch_unwind makes unreachable — degrades to a per-job error,
+    /// never a panic.
     fn execute_parallel(
         &self,
         sims: &[Simulation],

@@ -241,12 +241,12 @@ pub fn run_app(profile: &AppProfile, options: &RunOptions) -> AppRun {
 /// consumes it via [`System::run_chunk_gated`] (the batched snoop
 /// fan-out), so the whole trace is never materialised and the two
 /// stages can be timed separately at chunk granularity (two clock reads
-/// per 64Ki references — noise-level overhead). The gate (and any armed
-/// `slow-suite` fault) is applied at every chunk boundary and inside the
-/// per-node replay of each chunk — so a deadline expiry or cooperative
-/// cancellation stops the job within one chunk's worth of work. With an
-/// unbounded gate and no faults armed the cost is one inert fault lookup
-/// per job and cheap gate checks per chunk.
+/// per [`System::CHUNK_LEN`] references — noise-level overhead). The
+/// gate (and any armed `slow-suite` fault) is applied at every chunk
+/// boundary and inside the per-node replay of each chunk — so a deadline
+/// expiry or cooperative cancellation stops the job within one chunk's
+/// worth of work. With an unbounded gate and no faults armed the cost is
+/// one inert fault lookup per job and cheap gate checks per chunk.
 pub fn run_app_gated(
     profile: &AppProfile,
     options: &RunOptions,

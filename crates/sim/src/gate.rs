@@ -2,10 +2,10 @@
 //! chunk boundaries.
 //!
 //! The simulator's unit of interruption is the chunk ([`System::CHUNK_LEN`]
-//! references, a few milliseconds of work): checking any finer would put a
-//! clock read on the hot path, and any coarser would make a runaway
-//! configuration uncancellable. A [`RunGate`] bundles the two reasons a
-//! run may stop early — a wall-clock budget expiring, or a cooperative
+//! references, stepped and then replayed at one flush): checking any finer
+//! would put a clock read on the hot path, and any coarser would make a
+//! runaway configuration uncancellable. A [`RunGate`] bundles the two
+//! reasons a run may stop early — a wall-clock budget expiring, or a cooperative
 //! cancellation flag raised by whoever owns the run (the experiment
 //! engine raises it when a sibling job of the same suite has already
 //! failed, so the rest of the suite stops burning CPU on a result that

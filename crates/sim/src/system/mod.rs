@@ -88,7 +88,7 @@ pub struct AccessOutcome {
 }
 
 /// Coverage and activity for one filter configuration over a finished run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FilterReport {
     /// The configuration.
     pub spec: FilterSpec,
@@ -241,14 +241,18 @@ impl System {
     }
 
     /// References per internal chunk of [`System::run`] (and the chunk
-    /// size streamed `run_app` callers should use). Larger chunks
-    /// amortise each flush's reload of the bank over more events, but
-    /// every node's log and the trace buffer grow with them. On a 2-vCPU
-    /// x86_64 VM at scale 0.1, paper-all's replay took a median 0.88 s
-    /// at 16Ki and 0.92 s at 64Ki, and with checked runs logging too,
-    /// 64Ki cost checked-paper 7.6% peak RSS where 16Ki lowers it on
-    /// every perfbench workload.
-    pub const CHUNK_LEN: usize = 16384;
+    /// size streamed `run_app` callers should use).
+    ///
+    /// Every node's event log and the caller's trace buffer are sized by
+    /// it. A log keeps its high-water capacity, so it holds its busiest
+    /// chunk's event count rounded up to a power of two, at 16 bytes per
+    /// [`jetty_core::FilterEvent`]: a snoop-heavy 8-way job kept about
+    /// 2 MiB of logs at 16Ki, twice its L2 records, and keeps about
+    /// 512 KiB at 4Ki. Smaller chunks flush each bank more often but were no slower down to 4Ki (2-vCPU
+    /// x86_64 VM, scale 0.1); below it peak RSS fell by less each halving
+    /// (protocol-grid 8.2 MiB at 16Ki, 6.5 at 8Ki, 5.0 at 4Ki, 4.8 at
+    /// 2Ki; docs/ARCHITECTURE.md §2a.2).
+    pub const CHUNK_LEN: usize = 4096;
 
     /// Runs an entire trace through the system by buffering it into
     /// [`System::CHUNK_LEN`]-reference chunks and delegating to

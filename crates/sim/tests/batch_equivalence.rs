@@ -13,7 +13,8 @@ mod common;
 
 use common::{assert_same_observables, ref_strategy, tiny_config};
 use jetty_core::FilterSpec;
-use jetty_sim::{CheckLevel, MemRef, Op, ProtocolKind, System};
+use jetty_sim::{CheckLevel, MemRef, Op, ProtocolKind, System, SystemConfig};
+use jetty_workloads::{apps, TraceGen};
 use proptest::prelude::*;
 
 /// Both check levels: `CheckLevel::Full` runs the same logged replay,
@@ -156,4 +157,25 @@ fn full_check_chunked_run_equals_per_access_run() {
         sys.run_chunk(&refs);
         sys.verify_inclusion();
     }
+}
+
+/// A real application on the paper's 8-way platform with the full paper
+/// bank, sliced into chunks of two lengths that differ from
+/// `System::CHUNK_LEN` and from each other: every chunk boundary moves,
+/// so every bank flushes at different points of the same event stream,
+/// and the runs must still agree on the protocol statistics and on every
+/// filter's report.
+#[test]
+fn real_trace_reports_do_not_depend_on_the_chunk_length() {
+    let trace: Vec<MemRef> = TraceGen::new(&apps::em3d(), 8, 0.01).collect();
+    let run = |len: usize| {
+        let mut sys = System::new(SystemConfig::paper_8way(), &FilterSpec::paper_bank());
+        for chunk in trace.chunks(len) {
+            sys.run_chunk(chunk);
+        }
+        sys
+    };
+    let (short, long) = (run(1000), run(7000));
+    assert_eq!(short.run_stats(), long.run_stats());
+    assert_eq!(short.filter_reports(), long.filter_reports());
 }

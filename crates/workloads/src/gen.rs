@@ -3,11 +3,12 @@
 
 use jetty_sim::{MemRef, Op};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::layout::Layout;
 use crate::patterns::PatternState;
 use crate::profile::AppProfile;
+use crate::sample::{draw, weight_threshold};
 
 /// Iterator producing an application's memory-reference trace.
 ///
@@ -36,8 +37,10 @@ use crate::profile::AppProfile;
 pub struct TraceGen {
     rngs: Vec<SmallRng>,
     states: Vec<PatternState>,
-    cumulative_weights: Vec<f64>,
-    total_weight: f64,
+    /// Per segment, the [`weight_threshold`] of its cumulative weight: a
+    /// reference uses the first segment whose threshold its draw is below
+    /// (the last segment if none).
+    segment_below: Vec<u64>,
     remaining: u64,
     total: u64,
     ncpu: usize,
@@ -68,13 +71,14 @@ impl TraceGen {
             .iter()
             .map(|seg| PatternState::build(seg, ncpu, &mut layout))
             .collect();
+        let total_weight = profile.segments.iter().fold(0.0, |acc, seg| acc + seg.weight());
         let mut acc = 0.0;
-        let cumulative_weights: Vec<f64> = profile
+        let segment_below = profile
             .segments
             .iter()
             .map(|seg| {
                 acc += seg.weight();
-                acc
+                weight_threshold(total_weight, acc)
             })
             .collect();
         let rngs = (0..ncpu)
@@ -88,8 +92,7 @@ impl TraceGen {
         Self {
             rngs,
             states,
-            cumulative_weights,
-            total_weight: acc,
+            segment_below,
             remaining: total,
             total,
             ncpu,
@@ -154,14 +157,31 @@ impl TraceGen {
     /// assert_eq!(streamed, gen.len());
     /// ```
     pub fn fill_chunk(&mut self, buf: &mut Vec<MemRef>, max: usize) -> bool {
+        let n = self.remaining.min(max as u64);
+        self.remaining -= n;
         buf.clear();
-        while buf.len() < max {
-            match self.next() {
-                Some(r) => buf.push(r),
-                None => break,
-            }
+        buf.extend((0..n).map(|_| self.step()));
+        n > 0
+    }
+
+    /// Generates the next reference; the caller has already accounted for
+    /// it in `remaining`.
+    #[inline]
+    fn step(&mut self) -> MemRef {
+        let cpu = self.next_cpu;
+        // Branch instead of `%`: the round-robin advance runs once per
+        // generated reference.
+        self.next_cpu += 1;
+        if self.next_cpu == self.ncpu {
+            self.next_cpu = 0;
         }
-        !buf.is_empty()
+        let rng = &mut self.rngs[cpu];
+        let pick = draw(rng);
+        let seg =
+            self.segment_below.iter().position(|&t| pick < t).unwrap_or(self.states.len() - 1);
+        let out = self.states[seg].next_ref(cpu, rng);
+        let op = if out.write { Op::Write } else { Op::Read };
+        MemRef { cpu, op, addr: out.addr }
     }
 }
 
@@ -173,20 +193,7 @@ impl Iterator for TraceGen {
             return None;
         }
         self.remaining -= 1;
-        let cpu = self.next_cpu;
-        // Branch instead of `%`: the round-robin advance runs once per
-        // generated reference.
-        self.next_cpu += 1;
-        if self.next_cpu == self.ncpu {
-            self.next_cpu = 0;
-        }
-        let rng = &mut self.rngs[cpu];
-        let pick: f64 = rng.gen::<f64>() * self.total_weight;
-        let seg =
-            self.cumulative_weights.iter().position(|&w| pick < w).unwrap_or(self.states.len() - 1);
-        let out = self.states[seg].next_ref(cpu, rng);
-        let op = if out.write { Op::Write } else { Op::Read };
-        Some(MemRef { cpu, op, addr: out.addr })
+        Some(self.step())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -275,19 +282,25 @@ mod tests {
 
     #[test]
     fn fill_chunk_matches_iterator_reference_for_reference() {
-        let p = apps::barnes();
-        let iterated: Vec<MemRef> = TraceGen::new(&p, 4, 0.002).collect();
-        let mut generator = TraceGen::new(&p, 4, 0.002);
-        let mut streamed = Vec::new();
-        let mut buf = Vec::new();
-        // A chunk size that does not divide the trace length, so the last
-        // chunk is partial.
-        while generator.fill_chunk(&mut buf, 999) {
-            streamed.extend_from_slice(&buf);
+        for p in apps::all() {
+            for cpus in [4, 8] {
+                let iterated: Vec<MemRef> = TraceGen::new(&p, cpus, 0.002).collect();
+                let mut generator = TraceGen::new(&p, cpus, 0.002);
+                let mut streamed = Vec::new();
+                let mut buf = Vec::new();
+                // A chunk size that does not divide the trace length, so
+                // the last chunk is partial.
+                while generator.fill_chunk(&mut buf, 999) {
+                    streamed.extend_from_slice(&buf);
+                }
+                assert_eq!(streamed, iterated, "{} at {cpus} CPUs", p.abbrev);
+                assert!(
+                    !generator.fill_chunk(&mut buf, 999),
+                    "exhausted generator must stay empty"
+                );
+                assert!(buf.is_empty());
+            }
         }
-        assert_eq!(streamed, iterated);
-        assert!(!generator.fill_chunk(&mut buf, 999), "exhausted generator must stay empty");
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -43,6 +43,7 @@ mod gen;
 mod layout;
 mod patterns;
 mod profile;
+mod sample;
 
 pub use gen::TraceGen;
 pub use layout::Layout;

@@ -10,6 +10,7 @@ use rand::Rng;
 
 use crate::layout::Layout;
 use crate::profile::{RegionLayout, SegmentSpec};
+use crate::sample::{draw, threshold};
 
 /// Word alignment for generated addresses (stores/loads of 8 bytes).
 const WORD: u64 = 8;
@@ -190,9 +191,10 @@ pub struct PrivateState {
     hot_bytes: u64,
     warm_bytes: u64,
     cold_bytes: u64,
-    p_hot: f64,
-    p_warm: f64,
-    write_frac: f64,
+    /// [`threshold`]s of `p_hot`, `p_hot + p_warm` and `write_frac`.
+    hot_below: u64,
+    warm_below: u64,
+    write_below: u64,
     cold_pos: Vec<u64>,
 }
 
@@ -215,18 +217,18 @@ impl PrivateState {
             hot_bytes,
             warm_bytes,
             cold_bytes,
-            p_hot,
-            p_warm,
-            write_frac,
+            hot_below: threshold(p_hot),
+            warm_below: threshold(p_hot + p_warm),
+            write_below: threshold(write_frac),
             cold_pos: vec![0; ncpu],
         }
     }
 
     fn next_ref(&mut self, cpu: usize, rng: &mut SmallRng) -> RefOut {
-        let r: f64 = rng.gen();
-        let offset = if r < self.p_hot {
+        let r = draw(rng);
+        let offset = if r < self.hot_below {
             random_word(self.hot_bytes, rng)
-        } else if r < self.p_hot + self.p_warm {
+        } else if r < self.warm_below {
             self.hot_bytes + random_word(self.warm_bytes, rng)
         } else {
             let pos = self.cold_pos[cpu];
@@ -241,7 +243,7 @@ impl PrivateState {
             self.cold_pos[cpu] = next;
             self.hot_bytes + self.warm_bytes + pos
         };
-        RefOut { addr: self.regions.addr(cpu, offset), write: rng.gen_bool(self.write_frac) }
+        RefOut { addr: self.regions.addr(cpu, offset), write: draw(rng) < self.write_below }
     }
 }
 
@@ -252,7 +254,8 @@ pub struct StreamingState {
     regions: CpuRegions,
     bytes: u64,
     refs_per_unit: u32,
-    write_frac: f64,
+    /// [`threshold`] of the store fraction.
+    write_below: u64,
     pos: Vec<u64>,
     ref_in_unit: Vec<u32>,
 }
@@ -272,7 +275,7 @@ impl StreamingState {
             regions,
             bytes,
             refs_per_unit,
-            write_frac,
+            write_below: threshold(write_frac),
             pos: vec![0; ncpu],
             ref_in_unit: vec![0; ncpu],
         }
@@ -293,7 +296,7 @@ impl StreamingState {
             }
             self.pos[cpu] = next;
         }
-        RefOut { addr: self.regions.addr(cpu, offset), write: rng.gen_bool(self.write_frac) }
+        RefOut { addr: self.regions.addr(cpu, offset), write: draw(rng) < self.write_below }
     }
 }
 
@@ -304,10 +307,12 @@ pub struct SharedState {
     base: u64,
     bytes: u64,
     hot_bytes: u64,
-    hot_frac: f64,
     mid_bytes: u64,
-    mid_frac: f64,
-    write_frac: f64,
+    /// [`threshold`]s of `hot_frac`, `hot_frac + mid_frac` and
+    /// `write_frac`.
+    hot_below: u64,
+    mid_below: u64,
+    write_below: u64,
 }
 
 impl SharedState {
@@ -329,19 +334,19 @@ impl SharedState {
             base: layout.alloc(bytes),
             bytes,
             hot_bytes,
-            hot_frac,
             mid_bytes,
-            mid_frac,
-            write_frac,
+            hot_below: threshold(hot_frac),
+            mid_below: threshold(hot_frac + mid_frac),
+            write_below: threshold(write_frac),
         }
     }
 
     fn next_ref(&mut self, _cpu: usize, rng: &mut SmallRng) -> RefOut {
-        let r: f64 = rng.gen();
-        if r < self.hot_frac || self.hot_bytes == self.bytes {
+        let r = draw(rng);
+        if r < self.hot_below || self.hot_bytes == self.bytes {
             let addr = self.base + random_word(self.hot_bytes, rng);
-            RefOut { addr, write: rng.gen_bool(self.write_frac) }
-        } else if r < self.hot_frac + self.mid_frac && self.mid_bytes >= WORD {
+            RefOut { addr, write: draw(rng) < self.write_below }
+        } else if r < self.mid_below && self.mid_bytes >= WORD {
             let addr = self.base + self.hot_bytes + random_word(self.mid_bytes, rng);
             RefOut { addr, write: false }
         } else {

@@ -70,25 +70,27 @@ echo "==> fault smoke: one injected suite failure must degrade gracefully"
 # failures table. Leg 1 fails the 8-way suite; leg 2 fails the IJ-skip
 # ablation, which the engine would otherwise fold into one simulation with
 # the base and HJ-policy suites (same 4-way platform) — a faulted suite
-# runs alone, so its failure must not touch its would-be fold mates.
-# (suite-fail, not suite-panic: the release profile aborts on panic, so
-# panic containment is proven by the fault-matrix test above, which
-# spawns the unwinding test-profile binary.)
+# runs alone, so its failure must not touch its would-be fold mates. Leg 3
+# panics inside the 8-way suite's worker: the release profile unwinds, so
+# the engine's per-job containment must hold in the shipped binary too.
 for leg in \
-  "cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary" \
-  "cpus4-scale0.02-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8|Ablation: IJ index overlap"; do
-  FAULT_SUITE=${leg%%|*}
-  FAULT_BLOCK=${leg#*|}
-  echo "    suite-fail@$FAULT_SUITE"
+  "suite-fail|cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary" \
+  "suite-fail|cpus4-scale0.02-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8|Ablation: IJ index overlap" \
+  "suite-panic|cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary"; do
+  FAULT_KIND=${leg%%|*}
+  FAULT_REST=${leg#*|}
+  FAULT_SUITE=${FAULT_REST%%|*}
+  FAULT_BLOCK=${FAULT_REST#*|}
+  echo "    $FAULT_KIND@$FAULT_SUITE"
   FAULT_DIR=$(mktemp -d)
   set +e
-  JETTY_FAULT=suite-fail@$FAULT_SUITE \
-    target/release/jetty-repro all --scale 0.02 --threads 2 >"$FAULT_DIR/partial.txt"
+  JETTY_FAULT=$FAULT_KIND@$FAULT_SUITE \
+    target/release/jetty-repro all --scale 0.02 --threads 2 >"$FAULT_DIR/partial.txt" 2>"$FAULT_DIR/stderr.txt"
   FAULT_EXIT=$?
   set -e
-  [ "$FAULT_EXIT" -eq 2 ] || { echo "fault smoke: want exit 2, got $FAULT_EXIT"; exit 1; }
+  [ "$FAULT_EXIT" -eq 2 ] || { echo "fault smoke: want exit 2, got $FAULT_EXIT"; cat "$FAULT_DIR/stderr.txt"; exit 1; }
   grep -q "== Failed suites" "$FAULT_DIR/partial.txt"
-  grep -q "injected fault: suite-fail" "$FAULT_DIR/partial.txt"
+  grep -q "injected fault: $FAULT_KIND" "$FAULT_DIR/partial.txt"
   # Strip the failed suite's block from the golden file and the failures
   # block from the partial output: the remainder must match byte for byte.
   awk -v drop="$FAULT_BLOCK" '/^== /{keep = ($0 !~ drop)} keep' tests/golden/all_scale002.txt >"$FAULT_DIR/golden-surviving.txt"
