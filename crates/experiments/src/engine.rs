@@ -406,15 +406,6 @@ impl Engine {
         }
     }
 
-    /// Builds an engine sized by [`Engine::default_threads`], with the
-    /// [`Engine::default_deadline`] job budget and the
-    /// [`Engine::default_shards`] intra-run shard count.
-    pub fn with_default_threads() -> Self {
-        Self::new(Self::default_threads())
-            .with_deadline(Self::default_deadline())
-            .with_shards(Self::default_shards())
-    }
-
     /// Sets the per-job wall-clock budget (`None` = unbounded). Checked
     /// cooperatively at chunk boundaries, so expiry cancels a job within
     /// one chunk's worth of work and surfaces as
@@ -501,17 +492,6 @@ impl Engine {
     /// The worker count this engine was built with.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The requested intra-run shard count (before the execution-time
-    /// oversubscription cap).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The per-job deadline this engine applies, when one is set.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
     }
 
     /// The suite cache (for inspection; normal use goes through

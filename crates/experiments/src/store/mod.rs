@@ -7,12 +7,11 @@
 //! JETTY's claims are comparative — coverage and energy deltas across
 //! configurations — and regressions in either the *output* (a silent
 //! behaviour change in the simulator) or the *speed* of the reproduction
-//! were previously caught only by eyeballing stdout against memory, or by
-//! hand-editing `BENCH_baseline.json`. The store records each invocation's
-//! typed [`ResultSet`] together with when, at what git revision, under
-//! which [`RunOptions`](crate::RunOptions) id, and how long the
-//! simulations took, so `jetty-repro diff` (see [`diff`]) can compare any
-//! two runs cell-by-cell and CI can gate on drift.
+//! were previously caught only by eyeballing stdout against memory. The
+//! store records each invocation's typed [`ResultSet`] together with when,
+//! at what git revision, under which [`RunOptions`](crate::RunOptions) id,
+//! and how long the simulations took, so `jetty-repro diff` (see [`diff`])
+//! can compare any two runs cell-by-cell and CI can gate on drift.
 //!
 //! # File format
 //!

@@ -18,11 +18,11 @@ cargo build --release
 cargo test -q
 JETTY_SHARDS=2 cargo test -q
 
-echo "==> cargo build --examples --benches"
-cargo build --examples --benches
+echo "==> cargo build --examples"
+cargo build --examples
 
-echo "==> cargo bench --no-run (benches must always compile)"
-cargo bench --no-run
+echo "==> perfbench self-test (builds the benchmark, checks its digest gate and failure counting)"
+python3 perfbench/selftest.py
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
