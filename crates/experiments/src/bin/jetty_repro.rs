@@ -16,7 +16,7 @@
 //! [`Engine`]: the needed suites are collected up front and executed
 //! concurrently on `--threads` workers (default: available parallelism,
 //! or `JETTY_THREADS`), then each exhibit populates typed
-//! [`TableData`] records from the suite cache in paper order. The whole
+//! [`TableData`] records from the engine's memo in paper order. The whole
 //! [`ResultSet`] is rendered once at the end by the `--format` renderer —
 //! aligned text (the default; byte-identical to the historical output),
 //! JSON, or CSV.
@@ -39,6 +39,7 @@ use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +48,7 @@ use jetty_experiments::error::{exit, JettyError};
 use jetty_experiments::figures::{self, Fig6Panel};
 use jetty_experiments::results::render::Format;
 use jetty_experiments::results::{Cell, ResultSet, TableData};
-use jetty_experiments::runner::{AppRun, RunOptions};
+use jetty_experiments::runner::{parse_scale, AppRun, RunOptions};
 use jetty_experiments::store::diff::{diff_runs, DiffOptions};
 use jetty_experiments::store::{self, RunInfo, RunRef, RunStore};
 use jetty_experiments::sweep::{self, Axis, SweepGrid};
@@ -189,10 +190,7 @@ fn parse_args() -> Result<Parsed, String> {
         match arg.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value")?;
-                cli.scale = v.parse().map_err(|_| format!("bad scale: {v}"))?;
-                if cli.scale <= 0.0 {
-                    return Err("scale must be positive".into());
-                }
+                cli.scale = parse_scale(&v)?;
             }
             "--cpus" => {
                 let v = args.next().ok_or("--cpus needs a value")?;
@@ -205,22 +203,8 @@ fn parse_args() -> Result<Parsed, String> {
                     ));
                 }
             }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad thread count: {v}"))?;
-                if n < 1 {
-                    return Err("--threads must be at least 1".into());
-                }
-                cli.threads = Some(n);
-            }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shard count: {v}"))?;
-                if n < 1 {
-                    return Err("--shards must be at least 1".into());
-                }
-                cli.shards = Some(n);
-            }
+            "--threads" => cli.threads = Some(positive(&mut args, "--threads", "thread count")?),
+            "--shards" => cli.shards = Some(positive(&mut args, "--shards", "shard count")?),
             "--format" => {
                 let v = args.next().ok_or("--format needs a value")?;
                 cli.format = Format::parse(&v)
@@ -254,12 +238,7 @@ fn parse_args() -> Result<Parsed, String> {
                 cli.timing_band = Some(pct);
             }
             "--deadline-ms" => {
-                let v = args.next().ok_or("--deadline-ms needs a value")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad deadline: {v}"))?;
-                if ms < 1 {
-                    return Err("--deadline-ms must be at least 1".into());
-                }
-                cli.deadline_ms = Some(ms);
+                cli.deadline_ms = Some(positive(&mut args, "--deadline-ms", "deadline")?);
             }
             "--strict" => cli.strict = true,
             "--help" | "-h" => return Ok(Parsed::Help),
@@ -312,6 +291,21 @@ fn parse_args() -> Result<Parsed, String> {
         return Err("--strict only applies to runs".into());
     }
     Ok(Parsed::Run(Box::new(cli)))
+}
+
+/// Reads the value of `flag` from `args` as a positive integer; `noun`
+/// names what a value that does not parse was meant to be.
+fn positive<T: FromStr + PartialOrd + From<u8>>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    noun: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or(format!("{flag} needs a value"))?;
+    let n: T = v.parse().map_err(|_| format!("bad {noun}: {v}"))?;
+    if n < T::from(1) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
 }
 
 /// Resolves a run ref (`N`, `latest`, or `PATH:REF`) to a store and a

@@ -1,46 +1,23 @@
-//! The parallel experiment engine: a scoped-thread worker pool over a job
-//! graph of `(profile, simulation)` jobs, plus a [`SuiteCache`] so no
-//! identical suite is ever simulated twice in one process.
+//! The parallel experiment engine: runs batches of suites on a fixed pool
+//! of workers and memoizes every suite's result, so no identical suite is
+//! ever simulated twice in one process.
 //!
-//! # Why this exists
+//! # Plan, then execute
 //!
-//! The paper's methodology already collapses the *configuration* axis: one
-//! simulation pass with a bank of bystander filters yields results for
-//! every configuration at once. What remains is the *application* axis —
-//! ten independent suite members per run, and `jetty-repro all` needs
-//! several independent suites (the 4-way base run, the 8-way run, the
-//! non-subblocked run, and two ablation banks). Every one of those
-//! simulations is a pure function of `(profile, RunOptions)`, so they are
-//! embarrassingly parallel; the engine flattens them into one job list and
-//! drains it with a fixed pool of scoped threads.
-//!
-//! # Simulate once, observe many
-//!
-//! Because filters are bystanders, the bank is not part of the simulated
-//! *platform*. Within one [`Engine::run_suites`] batch the engine groups
-//! the fresh requests by every [`RunOptions`] field except `specs` and
-//! simulates each platform once, with the union of the group's banks
-//! (deduplicated, in first-requested order); each suite's reports are
-//! then projected back out in its own bank order. This is the sweep's
-//! "filter axis is free" economy ([`crate::sweep`]) made the engine's
-//! general rule: `jetty-repro all` runs its 4-way base suite and both
-//! ablation suites as one simulation of a 27-filter bank (5 suites, 3
-//! simulations). Suite identity is unaffected — the cache key, the error
-//! memo, [`RunOptions::id`], store records and the failures table stay
-//! per suite — and a suite a `JETTY_FAULT` spec names is never folded
-//! ([`crate::fault`]), so an injected fault hits exactly that suite.
-//!
-//! # Determinism
-//!
-//! A job's result depends only on its inputs — [`TraceGen`] is a pure
-//! function of `(profile, cpus, scale)` and [`System`] of the trace and
-//! options — so execution order cannot change any result. Workers claim
-//! jobs longest trace first (so the largest job never starts last and
-//! leaves the other workers idle), but jobs write into pre-assigned
-//! slots and suites are reassembled in application order, making engine
-//! output identical to the sequential path byte for byte; with one
-//! thread the engine *is* the sequential path (no threads are spawned at
-//! all).
+//! Every simulation is a pure function of `(profile, RunOptions)`. The
+//! engine's pure half, `plan.rs`, decides how a batch of distinct suites
+//! runs. It folds suites that differ only in their filter bank into one
+//! simulation of the union bank ("simulate once, observe many":
+//! `jetty-repro all` runs 5 suites as 3 simulations), flattens the
+//! simulations into `(profile, simulation)` jobs, orders them longest
+//! trace first, and assembles the jobs' outcomes back into per-suite
+//! results in application order. This module only executes a plan and
+//! memoizes what it produced. Execution is one worker loop: each worker
+//! claims the next job of the plan's order through a shared cursor and
+//! deposits its outcome in that job's slot. With one worker the loop runs
+//! on the caller's thread; otherwise its workers run under
+//! [`std::thread::scope`]. Claim and completion order never reach the
+//! output, which is byte-identical at any worker count.
 //!
 //! # Failure model
 //!
@@ -54,44 +31,41 @@
 //! the job's result slot. When any job of a simulation fails, its shared
 //! cancellation flag stops the sibling jobs at their next chunk boundary:
 //! their partial results could never be used. A failed simulation fails
-//! every suite it served, each under its own id with the same error kind
-//! ([`JettyError::with_suite`]); the deadline stays a per-job budget, so
-//! a folded job (a larger bank) gets the same budget as any other job.
-//! Failed suites are never inserted into the [`SuiteCache`] — only
-//! complete suites are cached — but the *error* is memoized, so a doomed
-//! configuration is attempted once per process, not once per consumer.
-//! Lock poisoning degrades too: every engine mutex guards data that is
-//! structurally valid mid-panic (whole inserted values), so a poisoned
-//! lock is recovered, not propagated.
+//! every suite it served, each under its own id, with the first
+//! non-cancellation error in job order ([`JettyError::with_suite`]); the
+//! deadline stays a per-job budget, so a folded job (a larger bank) gets
+//! the same budget as any other job. Lock poisoning degrades too: every
+//! engine mutex guards data that is structurally valid mid-panic (whole
+//! inserted values), so a poisoned lock is recovered, not propagated.
 //!
-//! # Caching
+//! # The memo
 //!
-//! [`RunOptions`] is the cache key (hash/eq over `cpus`, `scale` bits,
+//! [`RunOptions`] is the memo key (hash/eq over `cpus`, `scale` bits,
 //! `check`, the full filter bank, `non_subblocked`, and the coherence
-//! `protocol`). Consumers ask for whole suites; [`Engine::run_suites`]
-//! coalesces duplicate requests, simulates only the missing ones, and
-//! hands out shared [`Arc`] results — which is what lets the declarative
-//! sweep grid ([`crate::sweep`]) render every grid point from cache after
-//! one prefetch batch.
+//! `protocol`). A suite enters the memo whole, once its batch is done: as
+//! its shared [`Arc`] runs, or as its error, so a doomed configuration is
+//! attempted once per process, not once per consumer. A partial suite is
+//! never stored. Consumers ask for whole suites; [`Engine::run_suites`]
+//! coalesces duplicate requests, executes only the missing ones, and
+//! hands out the memoized results — which is what lets the declarative
+//! sweep grid ([`crate::sweep`]) render every grid point from the memo
+//! after one prefetch batch.
 //!
-//! [`TraceGen`]: jetty_workloads::TraceGen
-//! [`System`]: jetty_sim::System
 //! [`RunGate`]: jetty_sim::RunGate
 
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use jetty_sim::RunGate;
-use jetty_workloads::{apps, TraceGen};
 
 use crate::error::JettyError;
-use crate::fault::Faults;
-use crate::runner::{run_app_gated, AppRun, AppTiming, RunOptions};
+use crate::plan::{plan, Job, JobOutcome};
+use crate::runner::{run_app_gated, AppRun, RunOptions};
 
 /// One finished-or-failed suite, as returned by [`Engine::run_suites`].
 pub type SuiteResult = Result<Arc<Vec<AppRun>>, JettyError>;
@@ -104,65 +78,15 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A shared, thread-safe cache of finished suite runs, keyed by the full
-/// [`RunOptions`] (bank included). Only *complete* suites are ever
-/// inserted, and poisoned locks are recovered (see the module's failure
-/// model), so the cache cannot hold a partial result.
-///
-/// # Examples
-///
-/// ```
-/// use jetty_experiments::engine::SuiteCache;
-/// use jetty_experiments::RunOptions;
-///
-/// let cache = SuiteCache::new();
-/// assert!(cache.get(&RunOptions::paper()).is_none());
-/// assert_eq!(cache.len(), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct SuiteCache {
-    map: Mutex<HashMap<RunOptions, Arc<Vec<AppRun>>>>,
-}
-
-impl SuiteCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Looks up a finished suite for exactly these options.
-    pub fn get(&self, options: &RunOptions) -> Option<Arc<Vec<AppRun>>> {
-        lock_recover(&self.map).get(options).cloned()
-    }
-
-    /// Stores a finished suite under its options, keeping the first
-    /// insertion canonical: if another thread raced the same key in, its
-    /// result wins and is returned, so every holder of this key ends up
-    /// sharing one allocation.
-    pub fn insert(&self, options: RunOptions, runs: Arc<Vec<AppRun>>) -> Arc<Vec<AppRun>> {
-        lock_recover(&self.map).entry(options).or_insert(runs).clone()
-    }
-
-    /// Number of cached suites.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.map).len()
-    }
-
-    /// `true` when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Monotonic counters describing what an [`Engine`] has done so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requested suites simulated to completion (cache misses), counted
+    /// Requested suites simulated to completion (memo misses), counted
     /// per suite even when several were folded into one simulation.
     pub suites_executed: u64,
-    /// Suite requests served from the cache (or coalesced with an
-    /// identical request in the same batch, or answered from the
-    /// memoized error of an earlier failed attempt).
+    /// Suite requests served from the memo (or coalesced with an
+    /// identical request in the same batch), whether the memoized result
+    /// is a suite's runs or the error of an earlier failed attempt.
     pub cache_hits: u64,
     /// Individual `(profile, simulation)` jobs attempted.
     pub jobs_executed: u64,
@@ -177,7 +101,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Cache hits as a fraction of all suite requests served so far, in
     /// `[0, 1]` (0 when nothing has been requested yet). The number the
-    /// `jetty-repro sweep` stderr summary and the bench baseline report.
+    /// `jetty-repro sweep` stderr summary reports.
     pub fn hit_rate(&self) -> f64 {
         let requests = self.cache_hits + self.suites_executed + self.suites_failed;
         if requests == 0 {
@@ -187,117 +111,6 @@ impl EngineStats {
         }
     }
 }
-
-/// One `(application, simulation)` job in a batch's flattened graph.
-#[derive(Clone, Copy)]
-struct Job {
-    sim: usize,
-    app: usize,
-}
-
-/// One simulation of a batch: a platform run once with the union bank of
-/// every suite folded onto it (see the module docs).
-struct Simulation {
-    /// The platform plus the union bank, deduplicated in first-requested
-    /// order.
-    options: RunOptions,
-    /// Each served suite: its index in the batch, and for each entry of
-    /// its own bank the position of that spec in the union bank.
-    members: Vec<(usize, Vec<usize>)>,
-    /// Whether later suites of the same platform may fold onto this one.
-    foldable: bool,
-}
-
-impl Simulation {
-    /// A simulation of `options`' platform serving suite `index` alone.
-    fn new(index: usize, options: &RunOptions, foldable: bool) -> Self {
-        let mut sim =
-            Self { options: options.clone().with_specs(Vec::new()), members: Vec::new(), foldable };
-        sim.serve(index, options);
-        sim
-    }
-
-    /// Adds suite `index`: extends the union bank with the specs it lacks
-    /// and records the suite's projection.
-    fn serve(&mut self, index: usize, options: &RunOptions) {
-        let bank = &mut self.options.specs;
-        let projection = options
-            .specs
-            .iter()
-            .map(|spec| {
-                bank.iter().position(|s| s == spec).unwrap_or_else(|| {
-                    bank.push(*spec);
-                    bank.len() - 1
-                })
-            })
-            .collect();
-        self.members.push((index, projection));
-    }
-}
-
-/// Folds a batch of distinct suites into simulations: suites whose
-/// [`RunOptions`] agree on everything but the bank share one simulation
-/// of their union bank. A suite a `JETTY_FAULT` spec targets runs alone,
-/// exactly as requested, and so does every member of a fold whose union
-/// happens to carry a targeted id — an injected fault must hit only the
-/// suite it names.
-fn fold(suites: &[RunOptions], faults: &Faults) -> Vec<Simulation> {
-    let targeted = |options: &RunOptions| faults.is_active() && faults.targets_suite(&options.id());
-    let mut sims: Vec<Simulation> = Vec::new();
-    for (i, options) in suites.iter().enumerate() {
-        let foldable = !targeted(options);
-        let host = sims
-            .iter_mut()
-            .find(|sim| foldable && sim.foldable && same_platform(&sim.options, options));
-        match host {
-            Some(sim) => sim.serve(i, options),
-            None => sims.push(Simulation::new(i, options, foldable)),
-        }
-    }
-    if !faults.is_active() {
-        return sims;
-    }
-    let mut unfolded = Vec::with_capacity(sims.len());
-    for sim in sims {
-        if sim.members.len() > 1 && targeted(&sim.options) {
-            unfolded
-                .extend(sim.members.iter().map(|&(i, _)| Simulation::new(i, &suites[i], false)));
-        } else {
-            unfolded.push(sim);
-        }
-    }
-    unfolded
-}
-
-/// `true` when two suites simulate the same platform: every
-/// [`RunOptions`] field but the filter bank agrees (the destructuring
-/// makes a new field a compile error here until it is classified).
-fn same_platform(a: &RunOptions, b: &RunOptions) -> bool {
-    let RunOptions { cpus, scale, check, specs: _, non_subblocked, protocol } = a;
-    *cpus == b.cpus
-        && scale.to_bits() == b.scale.to_bits()
-        && *check == b.check
-        && *non_subblocked == b.non_subblocked
-        && *protocol == b.protocol
-}
-
-/// A suite's runs cut out of its simulation's union-bank runs: the shared
-/// platform data, and the reports at `projection`, in the suite's own
-/// bank order.
-fn project(runs: &[AppRun], projection: &[usize]) -> Vec<AppRun> {
-    runs.iter()
-        .map(|r| AppRun {
-            profile: r.profile.clone(),
-            footprint: r.footprint,
-            refs: r.refs,
-            run: r.run.clone(),
-            reports: projection.iter().map(|&k| r.reports[k].clone()).collect(),
-        })
-        .collect()
-}
-
-/// What one job deposits in its slot: its outcome plus wall-clock.
-type JobOutcome = (Result<(AppRun, AppTiming), JettyError>, Duration);
 
 /// Wall-clock attribution for one completed *simulation*: the summed
 /// wall-clock of its ten application jobs. One simulation may serve
@@ -354,8 +167,8 @@ pub struct SuiteTiming {
 ///     .with_specs(vec![FilterSpec::exclude(8, 2)]);
 /// let suite = engine.run_suite(&options).expect("fault-free run");
 /// assert_eq!(suite.len(), 10);
-/// // A second identical request is a cache hit: same allocation.
-/// let again = engine.run_suite(&options).expect("cache hit");
+/// // A second identical request is a memo hit: same allocation.
+/// let again = engine.run_suite(&options).expect("memo hit");
 /// assert!(std::sync::Arc::ptr_eq(&suite, &again));
 /// ```
 #[derive(Debug)]
@@ -365,20 +178,20 @@ pub struct Engine {
     /// against `threads` and the host at execution time; see
     /// [`cap_shards`]). Shards never change results — only how the
     /// deferred filter-event replay inside each job is parallelised — so
-    /// this is deliberately *not* part of the cache key.
+    /// this is deliberately *not* part of the memo key.
     shards: usize,
     /// Per-job wall-clock budget; `None` = unbounded.
     deadline: Option<Duration>,
-    cache: SuiteCache,
-    /// Memoized errors of failed suites: one attempt per key per process.
-    failed: Mutex<HashMap<RunOptions, JettyError>>,
+    /// Every suite run so far, by its full options: its shared runs, or
+    /// the error its one attempt ended in.
+    memo: Mutex<HashMap<RunOptions, SuiteResult>>,
     suites_executed: AtomicU64,
     cache_hits: AtomicU64,
     jobs_executed: AtomicU64,
     simulations_executed: AtomicU64,
     suites_failed: AtomicU64,
     /// Per-simulation timings accumulated since the last
-    /// [`Engine::take_timings`] (completed simulations only; cache hits
+    /// [`Engine::take_timings`] (completed simulations only; memo hits
     /// and failures record nothing).
     timings: Mutex<Vec<SuiteTiming>>,
 }
@@ -395,14 +208,13 @@ impl Engine {
             threads,
             shards: 1,
             deadline: None,
-            cache: SuiteCache::new(),
-            failed: Mutex::new(HashMap::new()),
+            memo: Mutex::default(),
             suites_executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             jobs_executed: AtomicU64::new(0),
             simulations_executed: AtomicU64::new(0),
             suites_failed: AtomicU64::new(0),
-            timings: Mutex::new(Vec::new()),
+            timings: Mutex::default(),
         }
     }
 
@@ -421,17 +233,8 @@ impl Engine {
     /// process, since silently dropping to a single worker on a big host
     /// is worth knowing about).
     pub fn default_threads() -> usize {
-        let env = std::env::var("JETTY_THREADS").ok();
-        let available = thread::available_parallelism().ok().map(NonZeroUsize::get);
-        let decision = resolve_default_threads(env.as_deref(), available);
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_THREADS={v:?} (want a positive integer); \
-                 using {} worker thread(s)",
-                decision.threads
-            );
-        }
-        if decision.host_fallback {
+        let raw = std::env::var("JETTY_THREADS").ok();
+        threads_on(raw.as_deref(), host_parallelism()).unwrap_or_else(|| {
             static FALLBACK_WARNING: std::sync::Once = std::sync::Once::new();
             FALLBACK_WARNING.call_once(|| {
                 eprintln!(
@@ -440,8 +243,8 @@ impl Engine {
                      --threads to override)"
                 );
             });
-        }
-        decision.threads
+            1
+        })
     }
 
     /// Sets the requested intra-run shard count: how many slices the
@@ -450,7 +253,7 @@ impl Engine {
     /// count and the host at execution time (see `cap_shards`) so
     /// suites×shards never oversubscribes the machine. Shards are a pure
     /// performance knob: results are byte-identical at any count, which
-    /// is also why they are not part of the suite cache key.
+    /// is also why they are not part of the memo key.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -458,35 +261,21 @@ impl Engine {
 
     /// The default intra-run shard count: the `JETTY_SHARDS` environment
     /// variable when set to a positive integer, otherwise 1 (serial
-    /// replay). A garbage value is ignored with a one-line warning naming
-    /// the bad value and the fallback chosen.
+    /// replay).
     pub fn default_shards() -> usize {
-        let env = std::env::var("JETTY_SHARDS").ok();
-        let decision = resolve_shards(env.as_deref());
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_SHARDS={v:?} (want a positive integer); \
-                 replaying snoop work in {} shard(s)",
-                decision.shards
-            );
-        }
-        decision.shards
+        let raw = std::env::var("JETTY_SHARDS").ok();
+        positive_env("JETTY_SHARDS", raw.as_deref(), "", "replaying snoop work in 1 shard(s)")
+            .unwrap_or(1)
     }
 
     /// The default per-job deadline: the `JETTY_DEADLINE_MS` environment
     /// variable when set to a positive integer of milliseconds, otherwise
-    /// unbounded. A garbage value is ignored with a one-line warning
-    /// naming the bad value and the fallback chosen.
+    /// unbounded.
     pub fn default_deadline() -> Option<Duration> {
-        let env = std::env::var("JETTY_DEADLINE_MS").ok();
-        let decision = resolve_deadline(env.as_deref());
-        if let Some(v) = &decision.invalid_env {
-            eprintln!(
-                "warning: ignoring invalid JETTY_DEADLINE_MS={v:?} (want a positive integer \
-                 of milliseconds); running without a job deadline"
-            );
-        }
-        decision.deadline
+        let raw = std::env::var("JETTY_DEADLINE_MS").ok();
+        let fallback = "running without a job deadline";
+        positive_env("JETTY_DEADLINE_MS", raw.as_deref(), " of milliseconds", fallback)
+            .map(Duration::from_millis)
     }
 
     /// The worker count this engine was built with.
@@ -494,15 +283,9 @@ impl Engine {
         self.threads
     }
 
-    /// The suite cache (for inspection; normal use goes through
-    /// [`Engine::run_suite`]).
-    pub fn cache(&self) -> &SuiteCache {
-        &self.cache
-    }
-
     /// Drains the per-simulation timings accumulated since the last call
     /// (the `jetty-repro --timings` surface). Completed simulations only:
-    /// cache hits and failed simulations record no timing.
+    /// memo hits and failed simulations record no timing.
     pub fn take_timings(&self) -> Vec<SuiteTiming> {
         std::mem::take(&mut *lock_recover(&self.timings))
     }
@@ -518,12 +301,7 @@ impl Engine {
         }
     }
 
-    /// The memoized error of an earlier failed attempt at these options.
-    fn failed_error(&self, options: &RunOptions) -> Option<JettyError> {
-        lock_recover(&self.failed).get(options).cloned()
-    }
-
-    /// Runs (or fetches from cache) one full ten-application suite.
+    /// Runs (or fetches from the memo) one full ten-application suite.
     pub fn run_suite(&self, options: &RunOptions) -> SuiteResult {
         self.run_suites(std::slice::from_ref(options))
             .pop()
@@ -533,105 +311,80 @@ impl Engine {
     /// Runs a batch of suites concurrently, returning per-suite results in
     /// request order.
     ///
-    /// Requests already in the cache are served from it; duplicate
-    /// requests within the batch are coalesced. Everything left is folded
-    /// into one simulation per platform (see the module docs), flattened
-    /// into one `(profile, simulation)` job list and drained by the worker
-    /// pool, so the suites of `jetty-repro all` share a single pool and
-    /// its three 4-way suites share one simulation.
+    /// Requests already in the memo are served from it; duplicate
+    /// requests within the batch are coalesced. Everything left is planned
+    /// and executed as one batch (see the module docs), so the suites of
+    /// `jetty-repro all` share a single pool and its three 4-way suites
+    /// share one simulation.
     ///
     /// A failed suite comes back as `Err` without disturbing its batch
     /// mates; the error is memoized so later requests for the same key are
-    /// answered without re-running a doomed configuration (one attempt per
-    /// key per process — the cache itself only ever holds complete
-    /// suites).
+    /// answered without re-running a doomed configuration.
     ///
     /// The single-execution guarantee is per caller: if *external* threads
     /// share one engine and race identical requests, both may simulate,
-    /// but the cache keeps the first finished result canonical, so every
+    /// but the memo keeps the first stored result canonical, so every
     /// caller still receives the same `Arc` (results are deterministic
     /// either way — only work is duplicated).
     pub fn run_suites(&self, requests: &[RunOptions]) -> Vec<SuiteResult> {
         let mut fresh: Vec<RunOptions> = Vec::new();
-        for options in requests {
-            if self.cache.get(options).is_some()
-                || self.failed_error(options).is_some()
-                || fresh.contains(options)
-            {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                fresh.push(options.clone());
-            }
-        }
-
-        for (options, result) in fresh.iter().zip(self.execute(&fresh)) {
-            match result {
-                Ok(runs) => {
-                    self.cache.insert(options.clone(), Arc::new(runs));
-                    self.suites_executed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    lock_recover(&self.failed).insert(options.clone(), e);
-                    self.suites_failed.fetch_add(1, Ordering::Relaxed);
+        {
+            let memo = lock_recover(&self.memo);
+            for options in requests {
+                if memo.contains_key(options) || fresh.contains(options) {
+                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    fresh.push(options.clone());
                 }
             }
         }
 
-        // `get` after canonicalising `insert`: every caller of a key sees
-        // one shared allocation, even if external threads raced us.
+        let executed = self.execute(&fresh);
+        let mut memo = lock_recover(&self.memo);
+        for (options, result) in fresh.into_iter().zip(executed) {
+            let counter = if result.is_ok() { &self.suites_executed } else { &self.suites_failed };
+            counter.fetch_add(1, Ordering::Relaxed);
+            memo.entry(options).or_insert(result.map(Arc::new));
+        }
         requests
             .iter()
-            .map(|options| match self.cache.get(options) {
-                Some(runs) => Ok(runs),
-                None => Err(self.failed_error(options).unwrap_or_else(|| {
-                    JettyError::simulation(
+            .map(|options| {
+                memo.get(options).cloned().unwrap_or_else(|| {
+                    Err(JettyError::simulation(
                         options.id(),
-                        "suite neither cached nor failed after execution (engine bug)",
-                    )
-                })),
+                        "suite not memoized after execution (engine bug)",
+                    ))
+                })
             })
             .collect()
     }
 
     /// Runs one suite through the worker pool without consulting or
-    /// filling the cache (the engine-backed replacement for the historical
-    /// sequential [`run_suite`](crate::runner::run_suite); benchmarks use
-    /// it to measure real simulation work).
+    /// filling the memo (the engine-backed body of the sequential
+    /// [`run_suite`](crate::runner::run_suite)).
     pub fn run_suite_uncached(&self, options: &RunOptions) -> Result<Vec<AppRun>, JettyError> {
         self.execute(std::slice::from_ref(options))
             .pop()
             .unwrap_or_else(|| unreachable!("execute returns one result per suite"))
     }
 
-    /// Executes `suites`: folds them into simulations, drains the
-    /// flattened `(profile, simulation)` job graph, and returns each
-    /// suite's runs in application order, projected onto its own bank
-    /// (or its simulation's first meaningful error, attributed to the
-    /// suite), logging one [`SuiteTiming`] per completed simulation.
+    /// Executes a batch of distinct suites: plans it, drains the plan's
+    /// jobs with the worker loop, and assembles each suite's result in
+    /// request order, logging one [`SuiteTiming`] per completed
+    /// simulation.
     fn execute(&self, suites: &[RunOptions]) -> Vec<Result<Vec<AppRun>, JettyError>> {
         if suites.is_empty() {
             return Vec::new();
         }
-        let sims = fold(suites, crate::fault::active());
-        let profiles = apps::all();
-        let jobs: Vec<Job> = (0..sims.len())
-            .flat_map(|sim| (0..profiles.len()).map(move |app| Job { sim, app }))
-            .collect();
-
+        let plan = plan(suites, crate::fault::active());
         // One cancellation flag per simulation: the first failing job
         // raises its simulation's flag, and sibling jobs observe it at
-        // their next chunk boundary (their partial results could never
-        // be used).
-        let cancels: Vec<Arc<AtomicBool>> =
-            sims.iter().map(|_| Arc::new(AtomicBool::new(false))).collect();
-        let shards = cap_shards(
-            self.shards,
-            self.threads,
-            thread::available_parallelism().ok().map(NonZeroUsize::get),
-        );
+        // their next chunk boundary.
+        let cancels: Vec<Arc<AtomicBool>> = plan.sims.iter().map(|_| Arc::default()).collect();
+        let shards = cap_shards(self.shards, self.threads, host_parallelism());
         let run_job = |job: &Job| -> JobOutcome {
             let started = Instant::now();
-            let options = &sims[job.sim].options;
+            let options = &plan.sims[job.sim].options;
             let gate = match self.deadline {
                 Some(budget) => RunGate::with_budget(budget),
                 None => RunGate::unbounded(),
@@ -640,7 +393,7 @@ impl Engine {
             // Panics are contained per job: every profile unwinds, so a
             // panicking job fails its own suite, in the release binary too.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_app_gated(&profiles[job.app], options, shards, &gate)
+                run_app_gated(&plan.profiles[job.app], options, shards, &gate)
             }))
             .unwrap_or_else(|payload| {
                 Err(JettyError::simulation(
@@ -654,146 +407,45 @@ impl Engine {
             (result, started.elapsed())
         };
 
-        let outcomes: Vec<JobOutcome> = if self.threads == 1 || jobs.len() == 1 {
-            // The sequential path: same loop the pre-engine runner had,
-            // on the caller's thread.
-            jobs.iter().map(run_job).collect()
-        } else {
-            let lens: Vec<u64> = jobs
-                .iter()
-                .map(|job| {
-                    let options = &sims[job.sim].options;
-                    TraceGen::len_for(&profiles[job.app], options.cpus, options.scale)
-                })
-                .collect();
-            self.execute_parallel(&sims, &jobs, &dispatch_order(&lens), &run_job)
-        };
-        self.jobs_executed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        self.simulations_executed.fetch_add(sims.len() as u64, Ordering::Relaxed);
-
-        let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
-            sims.iter().map(|_| Ok(Vec::new())).collect();
-        let mut elapsed: Vec<Duration> = vec![Duration::ZERO; sims.len()];
-        let mut splits: Vec<AppTiming> = vec![AppTiming::default(); sims.len()];
-        for (job, (outcome, took)) in jobs.iter().zip(outcomes) {
-            elapsed[job.sim] += took;
-            match outcome {
-                Ok((run, split)) => {
-                    splits[job.sim].gen += split.gen;
-                    splits[job.sim].sim += split.sim;
-                    if let Ok(runs) = &mut out[job.sim] {
-                        runs.push(run);
-                    }
-                }
-                Err(e) => {
-                    // First meaningful error wins: a Cancelled job only
-                    // ever follows some other job's failure, so it never
-                    // displaces the root cause.
-                    let slot = &mut out[job.sim];
-                    let replace = match slot {
-                        Ok(_) => true,
-                        Err(JettyError::Cancelled { .. }) => {
-                            !matches!(e, JettyError::Cancelled { .. })
-                        }
-                        Err(_) => false,
-                    };
-                    if replace {
-                        *slot = Err(e);
-                    }
-                }
-            }
-        }
-
-        let kernel = jetty_core::kernels::active_level().name();
-        let mut results: Vec<Option<Result<Vec<AppRun>, JettyError>>> =
-            suites.iter().map(|_| None).collect();
-        let mut log = lock_recover(&self.timings);
-        for (((sim, outcome), took), split) in sims.into_iter().zip(out).zip(elapsed).zip(splits) {
-            match outcome {
-                Ok(runs) => {
-                    let refs = runs.iter().map(|r| r.refs).sum();
-                    for (i, projection) in &sim.members {
-                        results[*i] = Some(Ok(project(&runs, projection)));
-                    }
-                    log.push(SuiteTiming {
-                        suites: sim.members.iter().map(|&(i, _)| suites[i].id()).collect(),
-                        refs,
-                        options: sim.options,
-                        elapsed: took,
-                        jobs: profiles.len(),
-                        gen: split.gen,
-                        sim: split.sim,
-                        kernel,
-                        shards,
-                    });
-                }
-                Err(e) => {
-                    for &(i, _) in &sim.members {
-                        results[i] = Some(Err(e.clone().with_suite(suites[i].id())));
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| unreachable!("every suite is served by one simulation")))
-            .collect()
-    }
-
-    /// Drains `jobs` with a pool of scoped threads. Workers claim jobs in
-    /// `order` through a shared atomic cursor and deposit outcomes (with
-    /// per-job wall-clock) into the slot matching the job index, so
-    /// assembly order is independent of claim and completion order. A
-    /// slot left empty — a worker that died without depositing, which
-    /// catch_unwind makes unreachable — degrades to a per-job error,
-    /// never a panic.
-    fn execute_parallel(
-        &self,
-        sims: &[Simulation],
-        jobs: &[Job],
-        order: &[usize],
-        run_job: &(dyn Fn(&Job) -> JobOutcome + Sync),
-    ) -> Vec<JobOutcome> {
+        // The worker loop: claim the next job in plan order, deposit its
+        // outcome in the job's own slot.
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobOutcome>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..self.threads.min(jobs.len()) {
-                scope.spawn(|| {
-                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        *lock_recover(&slots[i]) = Some(run_job(&jobs[i]));
-                    }
-                });
+        let slots: Vec<Mutex<Option<JobOutcome>>> =
+            plan.jobs.iter().map(|_| Mutex::default()).collect();
+        let work = || {
+            while let Some(&i) = plan.order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                *lock_recover(&slots[i]) = Some(run_job(&plan.jobs[i]));
             }
-        });
-        slots
+        };
+        match self.threads.min(plan.jobs.len()) {
+            1 => work(),
+            workers => thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            }),
+        }
+        // A slot left empty — a worker that died without depositing,
+        // which catch_unwind makes unreachable — degrades to a job error.
+        let outcomes = slots
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let outcome = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                outcome.unwrap_or_else(|| {
-                    let options = &sims[jobs[i].sim].options;
-                    (
-                        Err(JettyError::simulation(
-                            options.id(),
-                            "worker died without depositing a result",
-                        )),
-                        Duration::ZERO,
-                    )
+            .zip(&plan.jobs)
+            .map(|(slot, job)| {
+                slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
+                    let suite = plan.sims[job.sim].options.id();
+                    let error =
+                        JettyError::simulation(suite, "worker died without depositing a result");
+                    (Err(error), Duration::ZERO)
                 })
             })
-            .collect()
-    }
-}
+            .collect();
+        self.jobs_executed.fetch_add(plan.jobs.len() as u64, Ordering::Relaxed);
+        self.simulations_executed.fetch_add(plan.sims.len() as u64, Ordering::Relaxed);
 
-/// The order workers claim jobs in, given each job's trace length: longest
-/// first, so the largest jobs never start last and leave the other workers
-/// idle at the end of a batch; ties keep the canonical (simulation,
-/// application) order. A job's cost is its trace length, a property of the
-/// input, not of a workload name.
-fn dispatch_order(lens: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..lens.len()).collect();
-    order.sort_by_key(|&i| Reverse(lens[i]));
-    order
+        let (results, timings) = plan.assemble(outcomes, shards);
+        lock_recover(&self.timings).extend(timings);
+        results
+    }
 }
 
 /// Best-effort text of a caught panic payload (`&str` or `String`
@@ -806,60 +458,38 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Outcome of the default-thread-count resolution (pure; separated from
-/// [`Engine::default_threads`] so the precedence rules are unit-testable
-/// without mutating process environment or depending on the host).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ThreadsDecision {
-    /// The worker count to use.
-    threads: usize,
-    /// The `JETTY_THREADS` value, when present but not a positive integer
-    /// (warned about, then ignored).
-    invalid_env: Option<String>,
-    /// `true` when available parallelism could not be determined and the
-    /// count silently fell back to 1 (logged once per process).
-    host_fallback: bool,
+/// The host's available parallelism, when it can be determined.
+fn host_parallelism() -> Option<usize> {
+    thread::available_parallelism().ok().map(NonZeroUsize::get)
 }
 
-/// Precedence: a valid `JETTY_THREADS` wins; otherwise the host's
-/// available parallelism; otherwise 1 (with `host_fallback` set).
-fn resolve_default_threads(env: Option<&str>, available: Option<usize>) -> ThreadsDecision {
-    let mut invalid_env = None;
-    if let Some(v) = env {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => {
-                return ThreadsDecision { threads: n, invalid_env: None, host_fallback: false }
-            }
-            _ => invalid_env = Some(v.to_string()),
-        }
+/// The one reader of the engine's positive-integer environment overrides.
+/// `raw` is the value of `var`: unset gives `None`, as does a value that
+/// is not a positive integer — that one with a one-line warning naming
+/// the value and `fallback`, what runs instead. `unit` qualifies "a
+/// positive integer" in the warning.
+fn positive_env<T: FromStr + PartialOrd + From<u8>>(
+    var: &str,
+    raw: Option<&str>,
+    unit: &str,
+    fallback: &str,
+) -> Option<T> {
+    let raw = raw?;
+    let n = raw.trim().parse::<T>().ok().filter(|n| *n >= T::from(1));
+    if n.is_none() {
+        eprintln!(
+            "warning: ignoring invalid {var}={raw:?} (want a positive integer{unit}); {fallback}"
+        );
     }
-    match available {
-        Some(n) => ThreadsDecision { threads: n, invalid_env, host_fallback: false },
-        None => ThreadsDecision { threads: 1, invalid_env, host_fallback: true },
-    }
+    n
 }
 
-/// Outcome of the default-shard-count resolution (pure, like
-/// [`resolve_default_threads`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ShardsDecision {
-    /// The requested intra-run shard count.
-    shards: usize,
-    /// The `JETTY_SHARDS` value, when present but not a positive integer
-    /// (warned about, then ignored).
-    invalid_env: Option<String>,
-}
-
-/// A valid `JETTY_SHARDS` (positive integer) becomes the requested shard
-/// count; anything else is 1 (serial replay), flagging the invalid value.
-fn resolve_shards(env: Option<&str>) -> ShardsDecision {
-    match env {
-        None => ShardsDecision { shards: 1, invalid_env: None },
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => ShardsDecision { shards: n, invalid_env: None },
-            _ => ShardsDecision { shards: 1, invalid_env: Some(v.to_string()) },
-        },
-    }
+/// [`Engine::default_threads`] given the `JETTY_THREADS` value and the
+/// host's parallelism: a valid override wins, then the host. `None` when
+/// neither answers — the caller falls back to 1 and says so.
+fn threads_on(raw: Option<&str>, host: Option<usize>) -> Option<usize> {
+    let fallback = format!("using {} worker thread(s)", host.unwrap_or(1));
+    positive_env("JETTY_THREADS", raw, "", &fallback).or(host)
 }
 
 /// Caps a requested shard count against the engine's worker count so
@@ -876,42 +506,18 @@ fn cap_shards(requested: usize, threads: usize, available: Option<usize>) -> usi
     }
 }
 
-/// Outcome of the default-deadline resolution (pure, like
-/// [`resolve_default_threads`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct DeadlineDecision {
-    /// The budget to apply; `None` = unbounded.
-    deadline: Option<Duration>,
-    /// The `JETTY_DEADLINE_MS` value, when present but not a positive
-    /// integer (warned about, then ignored).
-    invalid_env: Option<String>,
-}
-
-/// A valid `JETTY_DEADLINE_MS` (positive integer milliseconds) becomes
-/// the budget; anything else is unbounded, flagging the invalid value.
-fn resolve_deadline(env: Option<&str>) -> DeadlineDecision {
-    match env {
-        None => DeadlineDecision { deadline: None, invalid_env: None },
-        Some(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => {
-                DeadlineDecision { deadline: Some(Duration::from_millis(n)), invalid_env: None }
-            }
-            _ => DeadlineDecision { deadline: None, invalid_env: Some(v.to_string()) },
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::parse_fault_specs;
+    use crate::plan::tests::{quick, same_platform_banks};
     use jetty_core::FilterSpec;
+    use jetty_sim::ProtocolKind;
+    use jetty_workloads::apps;
+    use proptest::prelude::*;
 
-    /// Tiny bank + short traces so the whole module tests in seconds.
-    fn quick(scale: f64) -> RunOptions {
-        RunOptions::paper()
-            .with_scale(scale)
-            .with_specs(vec![FilterSpec::exclude(8, 2), FilterSpec::include(6, 5, 6)])
+    /// Complete suites in the engine's memo (memoized errors excluded).
+    fn cached(engine: &Engine) -> usize {
+        lock_recover(&engine.memo).values().filter(|r| r.is_ok()).count()
     }
 
     #[test]
@@ -925,7 +531,7 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.jobs_executed, 10);
         assert_eq!(stats.suites_failed, 0);
-        assert_eq!(engine.cache().len(), 1);
+        assert_eq!(cached(&engine), 1);
         assert_eq!(stats.hit_rate(), 0.5, "one hit out of two requests");
     }
 
@@ -950,23 +556,6 @@ mod tests {
                 assert_eq!(p.arrays, q.arrays, "{what}: {}", p.label);
             }
         }
-    }
-
-    /// Three banks on one platform, overlapping in one spec and sharing
-    /// IJ geometries, like the base and ablation suites of `all`.
-    fn same_platform_banks() -> Vec<RunOptions> {
-        let base = quick(0.002);
-        vec![
-            base.clone(),
-            base.clone().with_specs(vec![
-                FilterSpec::include(6, 5, 6),
-                FilterSpec::hybrid_scalar(6, 5, 6, 16, 2),
-            ]),
-            base.with_specs(vec![
-                FilterSpec::hybrid_scalar_eager(6, 5, 6, 16, 2),
-                FilterSpec::exclude(8, 2),
-            ]),
-        ]
     }
 
     #[test]
@@ -994,28 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn faulted_suites_and_faulted_unions_run_alone() {
-        let suites = same_platform_banks();
-        let served = |faults: &Faults| -> Vec<Vec<usize>> {
-            fold(&suites, faults)
-                .iter()
-                .map(|sim| sim.members.iter().map(|&(i, _)| i).collect())
-                .collect()
-        };
-        let faults = |spec: String| Faults::from_specs(parse_fault_specs(&spec).unwrap());
-        assert_eq!(served(&Faults::default()), vec![vec![0, 1, 2]]);
-        for kind in ["suite-fail@", "suite-panic@"] {
-            let faulted = faults(format!("{kind}{}", suites[1].id()));
-            assert_eq!(served(&faulted), vec![vec![0, 2], vec![1]], "{kind}");
-        }
-        let slow = faults(format!("slow-suite@{}:5", suites[0].id()));
-        assert_eq!(served(&slow), vec![vec![0], vec![1, 2]]);
-        // A fault naming the union bank itself must not fire on the fold.
-        let union = fold(&suites, &Faults::default()).remove(0).options;
-        assert_eq!(served(&faults(format!("suite-fail@{}", union.id()))), [[0], [1], [2]]);
-    }
-
-    #[test]
     fn platform_differences_prevent_folding() {
         let base = quick(0.002);
         let other_bank = vec![FilterSpec::exclude(16, 2)];
@@ -1024,6 +591,7 @@ mod tests {
         let variants = [
             checked,
             base.clone().with_specs(other_bank.clone()).with_cpus(8),
+            base.clone().with_specs(other_bank.clone()).with_scale(0.003),
             base.clone()
                 .with_specs(other_bank.clone())
                 .with_protocol(jetty_sim::ProtocolKind::Mesi),
@@ -1050,7 +618,7 @@ mod tests {
             assert_eq!(result.as_ref().unwrap_err().suite(), Some(options.id().as_str()));
         }
         assert_eq!(engine.stats().suites_failed, 3);
-        assert!(engine.cache().is_empty());
+        assert_eq!(cached(&engine), 0);
     }
 
     #[test]
@@ -1089,7 +657,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.suites_executed, 3, "each variant is a distinct key");
         assert_eq!(stats.cache_hits, 0);
-        assert_eq!(engine.cache().len(), 3);
+        assert_eq!(cached(&engine), 3);
     }
 
     #[test]
@@ -1100,7 +668,7 @@ mod tests {
             ProtocolKind::ALL.iter().map(|&p| quick(0.002).with_protocol(p)).collect();
         engine.run_suites(&suites);
         assert_eq!(engine.stats().suites_executed, 3, "each protocol is a distinct key");
-        assert_eq!(engine.cache().len(), 3);
+        assert_eq!(cached(&engine), 3);
         // MOESI is the default: an explicit MOESI request hits the same key.
         assert!(Arc::ptr_eq(
             &engine.run_suite(&quick(0.002)).unwrap(),
@@ -1141,13 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_claims_the_longest_traces_first_and_keeps_ties_canonical() {
-        assert_eq!(dispatch_order(&[5, 9, 5, 12, 9, 1]), vec![3, 1, 4, 0, 2, 5]);
-        assert_eq!(dispatch_order(&[7, 7, 7]), vec![0, 1, 2]);
-        assert!(dispatch_order(&[]).is_empty());
-    }
-
-    #[test]
     fn run_suites_returns_the_same_runs_at_one_and_two_threads() {
         // Three simulations whose traces differ in length, so the
         // longest-first claim order differs from the canonical one.
@@ -1172,7 +733,7 @@ mod tests {
         let engine = Engine::new(2);
         let runs = engine.run_suite_uncached(&quick(0.002)).unwrap();
         assert_eq!(runs.len(), 10);
-        assert!(engine.cache().is_empty());
+        assert!(lock_recover(&engine.memo).is_empty());
         assert_eq!(engine.stats().suites_executed, 0);
         assert_eq!(engine.stats().jobs_executed, 10);
     }
@@ -1196,17 +757,15 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_fails_the_suite_without_touching_the_cache() {
+        // Cancel flags rise only after a job has failed, and with a zero
+        // budget every first failure is the deadline: the suite must
+        // report it, never a cancellation.
         for threads in [1, 3] {
             let engine = Engine::new(threads).with_deadline(Some(Duration::ZERO));
             let err = engine.run_suite(&quick(0.002)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    JettyError::Deadline { budget_ms: 0, .. } | JettyError::Cancelled { .. }
-                ),
-                "threads={threads}: {err}"
-            );
-            assert!(engine.cache().is_empty(), "a failed suite must never be cached");
+            let want = JettyError::Deadline { suite: quick(0.002).id(), budget_ms: 0 };
+            assert_eq!(err, want, "threads={threads}");
+            assert_eq!(cached(&engine), 0, "a failed suite must never be cached");
             let stats = engine.stats();
             assert_eq!(stats.suites_failed, 1);
             assert_eq!(stats.suites_executed, 0);
@@ -1229,85 +788,118 @@ mod tests {
 
     #[test]
     fn a_failing_suite_does_not_disturb_its_batch_mates() {
-        // Same engine, one batch: a generous deadline lets the small
-        // suite finish while the zero-budget engine variant proves
-        // isolation. Here: fail one key via the memo, then batch it with
-        // a healthy key.
-        let doomed = quick(0.002);
-        let healthy = quick(0.004);
-        let strict = Engine::new(2).with_deadline(Some(Duration::ZERO));
-        assert!(strict.run_suite(&doomed).is_err());
-        // Re-request both through the same (still zero-deadline) engine:
-        // the doomed key is answered from the memo; the healthy key fails
-        // too (deadline) — so instead check batch isolation on a fresh
-        // engine where only the memoized key fails.
-        let engine = Engine::new(2);
-        let results = engine.run_suites(&[healthy.clone(), doomed.clone()]);
-        assert!(results[0].is_ok() && results[1].is_ok(), "fresh engine has no memo");
-        assert_eq!(strict.run_suites(&[doomed]).pop().unwrap().unwrap_err().kind(), "deadline");
+        // A uniprocessor fails `SystemConfig::validate` in every job.
+        let healthy = quick(0.002);
+        let doomed = quick(0.002).with_cpus(1);
+        let alone = Engine::new(1).run_suite_uncached(&healthy).unwrap();
+        for threads in [1, 2] {
+            let engine = Engine::new(threads);
+            let results = engine.run_suites(&[healthy.clone(), doomed.clone()]);
+            assert_same_runs(results[0].as_ref().unwrap(), &alone, "healthy batch mate");
+            let err = results[1].as_ref().unwrap_err();
+            assert_eq!(err.kind(), "simulation", "threads={threads}: {err}");
+            assert_eq!(err.suite(), Some(doomed.id().as_str()));
+            assert!(err.detail().contains("worker panicked"), "threads={threads}: {err}");
+            let stats = engine.stats();
+            assert_eq!((stats.suites_executed, stats.suites_failed), (1, 1), "threads={threads}");
+        }
     }
 
     #[test]
     fn jetty_threads_override_takes_precedence() {
-        // A valid override wins over any host parallelism.
-        let d = resolve_default_threads(Some("6"), Some(64));
-        assert_eq!(d, ThreadsDecision { threads: 6, invalid_env: None, host_fallback: false });
-        // ...including when the host count is unknown (no fallback logged:
-        // the override answered the question).
-        let d = resolve_default_threads(Some(" 3 "), None);
-        assert_eq!(d, ThreadsDecision { threads: 3, invalid_env: None, host_fallback: false });
+        // A valid override wins over any host parallelism, including an
+        // unknown one (no fallback: the override answered the question).
+        assert_eq!(threads_on(Some("6"), Some(64)), Some(6));
+        assert_eq!(threads_on(Some(" 3 "), None), Some(3));
     }
 
     #[test]
     fn invalid_override_falls_through_to_the_host() {
         for bad in ["0", "-2", "four", ""] {
-            let d = resolve_default_threads(Some(bad), Some(8));
-            assert_eq!(d.threads, 8, "JETTY_THREADS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
-            assert!(!d.host_fallback);
+            assert_eq!(threads_on(Some(bad), Some(8)), Some(8), "JETTY_THREADS={bad:?}");
         }
     }
 
     #[test]
     fn unknown_parallelism_falls_back_to_one_and_says_so() {
-        let d = resolve_default_threads(None, None);
-        assert_eq!(d, ThreadsDecision { threads: 1, invalid_env: None, host_fallback: true });
-        let d = resolve_default_threads(Some("nope"), None);
-        assert_eq!(d.threads, 1);
-        assert!(d.host_fallback);
-        assert!(d.invalid_env.is_some());
+        // `None` is the caller's cue to log the fallback and use 1.
+        assert_eq!(threads_on(None, None), None);
+        assert_eq!(threads_on(Some("nope"), None), None);
     }
 
     #[test]
     fn no_override_uses_host_parallelism() {
-        let d = resolve_default_threads(None, Some(12));
-        assert_eq!(d, ThreadsDecision { threads: 12, invalid_env: None, host_fallback: false });
+        assert_eq!(threads_on(None, Some(12)), Some(12));
     }
 
     #[test]
     fn deadline_resolution_accepts_positive_millis_and_flags_garbage() {
-        assert_eq!(resolve_deadline(None), DeadlineDecision { deadline: None, invalid_env: None });
-        assert_eq!(
-            resolve_deadline(Some("250")),
-            DeadlineDecision { deadline: Some(Duration::from_millis(250)), invalid_env: None }
-        );
-        assert_eq!(resolve_deadline(Some(" 90 ")).deadline, Some(Duration::from_millis(90)));
+        let resolve =
+            |raw| positive_env::<u64>("JETTY_DEADLINE_MS", raw, " of milliseconds", "unbounded");
+        assert_eq!(resolve(None), None);
+        assert_eq!(resolve(Some("250")), Some(250));
+        assert_eq!(resolve(Some(" 90 ")), Some(90));
         for bad in ["0", "-5", "soon", "", "1.5"] {
-            let d = resolve_deadline(Some(bad));
-            assert_eq!(d.deadline, None, "JETTY_DEADLINE_MS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
+            assert_eq!(resolve(Some(bad)), None, "JETTY_DEADLINE_MS={bad:?}");
         }
     }
 
     #[test]
     fn shard_resolution_accepts_positive_counts_and_flags_garbage() {
-        assert_eq!(resolve_shards(None), ShardsDecision { shards: 1, invalid_env: None });
-        assert_eq!(resolve_shards(Some("4")), ShardsDecision { shards: 4, invalid_env: None });
-        assert_eq!(resolve_shards(Some(" 2 ")).shards, 2);
+        let resolve = |raw| positive_env::<usize>("JETTY_SHARDS", raw, "", "1 shard");
+        assert_eq!(resolve(None), None);
+        assert_eq!(resolve(Some("4")), Some(4));
+        assert_eq!(resolve(Some(" 2 ")), Some(2));
         for bad in ["0", "-3", "many", "", "1.5"] {
-            let d = resolve_shards(Some(bad));
-            assert_eq!(d.shards, 1, "JETTY_SHARDS={bad:?}");
-            assert_eq!(d.invalid_env.as_deref(), Some(bad));
+            assert_eq!(resolve(Some(bad)), None, "JETTY_SHARDS={bad:?}");
+        }
+    }
+
+    /// The filters [`a_batch_equals_each_suite_run_alone`] draws banks
+    /// from: every kind, two of them over one IJ geometry.
+    fn spec_pool() -> [FilterSpec; 6] {
+        [
+            FilterSpec::exclude(8, 2),
+            FilterSpec::exclude(16, 4),
+            FilterSpec::vector_exclude(8, 2, 4),
+            FilterSpec::include(6, 5, 6),
+            FilterSpec::hybrid_scalar(6, 5, 6, 16, 2),
+            FilterSpec::hybrid_scalar_eager(6, 5, 6, 8, 2),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Executing a batch's plan — fold, projection, worker loop —
+        /// equals running each of its suites alone: random banks (empty
+        /// and repeated specs included) split across suites on one to
+        /// three platforms.
+        #[test]
+        fn a_batch_equals_each_suite_run_alone(
+            suites in prop::collection::vec(
+                (0usize..3, prop::collection::vec(0usize..6, 0..4)),
+                1..5,
+            ),
+            threads in 1usize..3,
+        ) {
+            let base = RunOptions::paper().with_scale(0.001);
+            let platforms = [
+                base.clone(),
+                base.clone().with_protocol(ProtocolKind::Mesi),
+                base.with_non_subblocked(true),
+            ];
+            let requests: Vec<RunOptions> = suites
+                .iter()
+                .map(|(p, bank)| {
+                    platforms[*p].clone().with_specs(bank.iter().map(|&k| spec_pool()[k]).collect())
+                })
+                .collect();
+            let batch = Engine::new(threads).run_suites(&requests);
+            for (options, result) in requests.iter().zip(&batch) {
+                let alone = Engine::new(1).run_suite_uncached(options).unwrap();
+                assert_same_runs(result.as_ref().unwrap(), &alone, &options.id());
+            }
         }
     }
 

@@ -101,9 +101,8 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
 }
 
 /// Parses a full comma-separated `JETTY_FAULT` value (pure — this is the
-/// unit-testable half of the resolver, like the engine's
-/// `resolve_shards` for `JETTY_SHARDS`). Any invalid spec rejects the
-/// whole list.
+/// unit-testable half of the resolver, like the engine's `positive_env`
+/// for its numeric overrides). Any invalid spec rejects the whole list.
 pub fn parse_fault_specs(value: &str) -> Result<Vec<FaultSpec>, String> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).map(parse_spec).collect()
 }

@@ -43,10 +43,10 @@
 //!   through a pluggable [`results::render::Renderer`] (aligned text —
 //!   byte-identical to the historical output — JSON, or CSV);
 //! * suites are executed by the [`engine`]: a scoped-thread worker pool
-//!   over `(profile, options)` simulation jobs with a cache keyed by
+//!   over `(profile, options)` simulation jobs with a result memo keyed by
 //!   [`RunOptions`], so independent suites run concurrently and no
 //!   identical suite is simulated twice. The [`sweep`] module expands a
-//!   declarative [`sweep::SweepGrid`] into those cache keys;
+//!   declarative [`sweep::SweepGrid`] into those memo keys;
 //! * the [`store`] module persists finished result sets — an append-only,
 //!   checksummed, single-file run store keyed by git revision and
 //!   [`RunOptions::id`] — and [`store::diff`] compares any two recorded
@@ -67,6 +67,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod figures;
+mod plan;
 pub mod protocols;
 pub mod results;
 pub mod runner;
@@ -74,7 +75,7 @@ pub mod store;
 pub mod sweep;
 pub mod tables;
 
-pub use engine::{Engine, EngineStats, SuiteCache, SuiteResult};
+pub use engine::{Engine, EngineStats, SuiteResult};
 pub use error::JettyError;
 pub use results::render::{Format, Renderer};
 pub use results::{Cell, ResultSet, TableData};

@@ -19,8 +19,8 @@ use crate::fault;
 
 /// Options for a reproduction run.
 ///
-/// `RunOptions` doubles as the [`SuiteCache`](crate::engine::SuiteCache)
-/// key: equality and hashing cover every field that changes simulation
+/// `RunOptions` doubles as the key of the [`Engine`]'s result memo:
+/// equality and hashing cover every field that changes simulation
 /// output — `cpus`, the exact bit pattern of `scale`, `check`, the full
 /// filter bank (order included, since report order follows bank order),
 /// `non_subblocked`, and the coherence `protocol`.
@@ -318,6 +318,18 @@ pub fn run_suite(options: &RunOptions) -> Vec<AppRun> {
     Engine::new(1)
         .run_suite_uncached(options)
         .unwrap_or_else(|e| panic!("unbounded fault-free suite cannot fail: {e}"))
+}
+
+/// Parses a trace scale, the factor on every application's reference
+/// count: a positive, finite number. `--scale` and the sweep's `scale`
+/// axis both go through here, so they accept exactly the same values.
+pub fn parse_scale(raw: &str) -> Result<f64, String> {
+    let x: f64 = raw.parse().map_err(|_| format!("bad scale: {raw}"))?;
+    if x > 0.0 && x.is_finite() {
+        Ok(x)
+    } else {
+        Err(format!("scale must be positive and finite, got {raw}"))
+    }
 }
 
 /// Weighted-equal average of a metric over a suite (the paper's "AVG"

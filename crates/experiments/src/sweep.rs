@@ -13,10 +13,10 @@
 //!   one simulation), so a grid suite that shares its platform with
 //!   another suite of the invocation also shares its simulation.
 //! * **Suites are cache keys.** The grid expands to exactly the
-//!   [`RunOptions`] the [`SuiteCache`](crate::engine::SuiteCache) is keyed
-//!   by, so a sweep sharing points with other commands in the same
-//!   invocation (`jetty-repro protocols sweep`), or rendering after its
-//!   prefetch batch, re-reads cached suites instead of re-simulating —
+//!   [`RunOptions`] the [`Engine`]'s result memo is keyed by, so a sweep
+//!   sharing points with other commands in the same invocation
+//!   (`jetty-repro protocols sweep`), or rendering after its prefetch
+//!   batch, re-reads cached suites instead of re-simulating —
 //!   observable via `--timings` and the `[sweep]` stderr summary.
 //!
 //! The result is one comparative [`ResultSet`]: the point-per-row grid
@@ -30,7 +30,7 @@ use jetty_sim::ProtocolKind;
 use crate::engine::Engine;
 use crate::error::JettyError;
 use crate::results::{Cell, ResultSet, TableData};
-use crate::runner::{average, RunOptions};
+use crate::runner::{average, parse_scale, RunOptions};
 
 /// One named axis of the sweep grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,12 +200,7 @@ impl SweepGrid {
             }
             Axis::Scale => {
                 self.scales = parse_list(axis, values, |raw| {
-                    let x: f64 =
-                        raw.parse().map_err(|_| format!("axis scale: bad value {raw:?}"))?;
-                    if !(x > 0.0 && x.is_finite()) {
-                        return Err(format!("axis scale: scale must be positive, got {raw}"));
-                    }
-                    Ok(x)
+                    parse_scale(raw).map_err(|e| format!("axis scale: {e}"))
                 })?;
             }
             Axis::Subblocking => {

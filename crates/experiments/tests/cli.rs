@@ -24,6 +24,26 @@ fn rejects_cpu_counts_below_two() {
 }
 
 #[test]
+fn scale_must_be_positive_and_finite() {
+    // NaN and infinity parse as floats; both would reach the trace
+    // generator (a panic per job, or a trace that never ends).
+    for scale in ["nan", "inf", "-0", "0"] {
+        let out = repro(&["table2", "--scale", scale]);
+        assert_eq!(out.status.code(), Some(1), "--scale {scale} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("scale must be positive and finite, got {scale}")),
+            "--scale {scale}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--scale {scale}: no output before the error");
+        // The sweep's scale axis applies the same rule.
+        let out = repro(&["sweep", "--axis", &format!("scale={scale}")]);
+        assert_eq!(out.status.code(), Some(1), "--axis scale={scale} must be a usage error");
+        assert!(out.stdout.is_empty(), "--axis scale={scale}: no output before the error");
+    }
+}
+
+#[test]
 fn rejects_non_numeric_cpus() {
     let out = repro(&["table2", "--cpus", "four"]);
     assert!(!out.status.success());

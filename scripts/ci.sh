@@ -45,6 +45,11 @@ for shards in 1 2; do
   JETTY_SHARDS=$shards target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
 done
 
+# One worker runs the engine's worker loop inline on the caller's thread
+# instead of under a thread scope; its output must not differ either.
+echo "==> golden output (one worker): jetty-repro all --scale 0.02 --threads 1 vs tests/golden/all_scale002.txt"
+target/release/jetty-repro all --scale 0.02 --threads 1 | diff -u tests/golden/all_scale002.txt -
+
 echo "==> JSON validity: renderer output parsed by the in-tree rust parser (no shell tools)"
 cargo test -q -p jetty-experiments --test renderers json_ -- --nocapture
 
