@@ -11,8 +11,8 @@
 //! geometry, and the verdicts of a post-replay probe sweep, which observes
 //! the EJ/VEJ/IJ state the replay left behind.
 //!
-//! `jetty-sim`'s `batch_equivalence` and `shard_equivalence` suites guard
-//! the System's event logging, flush and shard plumbing around this.
+//! `jetty-sim`'s `batch_equivalence` suite guards the System's event
+//! logging and flush around this.
 
 use std::collections::BTreeSet;
 

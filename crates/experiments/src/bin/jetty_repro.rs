@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! jetty-repro [COMMANDS...] [--scale X] [--cpus N] [--threads N] [--shards N]
+//! jetty-repro [COMMANDS...] [--scale X] [--cpus N] [--threads N]
 //!             [--format FMT] [--csv DIR] [--axis NAME=V1,V2] [--check]
 //!             [--timings] [--store PATH] [--timing-band PCT]
 //!             [--deadline-ms MS] [--strict]
@@ -85,9 +85,8 @@ const COMMANDS: &[&str] = &[
 fn usage() -> String {
     format!(
         "jetty-repro [COMMANDS...] [--scale X] [--cpus N] [--threads N] \
-         [--shards N] [--format FMT] [--csv DIR] [--axis NAME=V1,V2] [--check] \
-         [--timings] [--store PATH] [--timing-band PCT] [--deadline-ms MS] \
-         [--strict]\n\
+         [--format FMT] [--csv DIR] [--axis NAME=V1,V2] [--check] [--timings] \
+         [--store PATH] [--timing-band PCT] [--deadline-ms MS] [--strict]\n\
          commands: {}\n\
          `all` regenerates every paper exhibit; `protocols` (the \
          MOESI/MESI/MSI sweep) and `sweep` (the declarative scenario grid) \
@@ -99,10 +98,6 @@ fn usage() -> String {
          --axis configures the sweep grid (repeatable; axes: cpus protocol \
          filter scale nsb), e.g. --axis cpus=4,8 --axis protocol=moesi,msi\n\
          --threads defaults to available parallelism (env override: JETTY_THREADS)\n\
-         --shards fans each job's per-node snoop replay out to N slices \
-         (default 1; env override: JETTY_SHARDS; capped against --threads so \
-         jobs times shards never oversubscribes the host; results are \
-         byte-identical at any count)\n\
          --timings reports per-simulation wall-clock on stderr (stdout untouched)\n\
          --store appends this invocation's results to an append-only run \
          store file (and is where `runs`/`diff` read from)\n\
@@ -128,10 +123,6 @@ struct Cli {
     /// only when an engine is actually built (so an invalid `JETTY_THREADS`
     /// never warns when it is overridden or unused).
     threads: Option<usize>,
-    /// `None` = no `--shards` flag; resolved via [`Engine::default_shards`]
-    /// only when an engine is actually built (so an invalid `JETTY_SHARDS`
-    /// never warns when it is overridden or unused).
-    shards: Option<usize>,
     format: Format,
     csv_dir: Option<PathBuf>,
     /// `--axis NAME=VALUES` flags, in order (validated against the sweep
@@ -171,7 +162,6 @@ fn parse_args() -> Result<Parsed, String> {
         scale: 1.0,
         cpus: 4,
         threads: None,
-        shards: None,
         format: Format::Text,
         csv_dir: None,
         axes: Vec::new(),
@@ -204,7 +194,6 @@ fn parse_args() -> Result<Parsed, String> {
                 }
             }
             "--threads" => cli.threads = Some(positive(&mut args, "--threads", "thread count")?),
-            "--shards" => cli.shards = Some(positive(&mut args, "--shards", "shard count")?),
             "--format" => {
                 let v = args.next().ok_or("--format needs a value")?;
                 cli.format = Format::parse(&v)
@@ -514,9 +503,7 @@ fn main() -> ExitCode {
             Some(ms) => Some(Duration::from_millis(ms)),
             None => Engine::default_deadline(),
         };
-        Engine::new(cli.threads.unwrap_or_else(Engine::default_threads))
-            .with_deadline(deadline)
-            .with_shards(cli.shards.unwrap_or_else(Engine::default_shards))
+        Engine::new(cli.threads.unwrap_or_else(Engine::default_threads)).with_deadline(deadline)
     };
     // Per-simulation wall-clock attribution (stderr only): lets perf work
     // blame time without external profilers. Printed after every batch
@@ -528,14 +515,13 @@ fn main() -> ExitCode {
         for t in timings {
             eprintln!(
                 "[timing] simulation {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
-                 kernel={} shards={} suites={}",
+                 kernel={} suites={}",
                 t.options.describe(),
                 t.elapsed.as_secs_f64(),
                 t.jobs,
                 t.gen.as_secs_f64(),
                 t.sim.as_secs_f64(),
                 t.kernel,
-                t.shards,
                 t.suites.join(",")
             );
         }

@@ -144,9 +144,8 @@ pub struct SuiteTiming {
     /// `kernel=` tag in `--timings` so timings from different hosts can
     /// be told apart.
     pub kernel: &'static str,
-    /// Effective intra-run shard count the simulation's jobs replayed snoop
-    /// work with (after the oversubscription cap against the worker
-    /// count) — surfaced as the `shards=` tag in `--timings`.
+    /// Inert: always 1, since every job replays its snoop work serially.
+    /// ROADMAP item 1 deletes it once perfbench stops reading it.
     pub shards: usize,
 }
 
@@ -174,12 +173,6 @@ pub struct SuiteTiming {
 #[derive(Debug)]
 pub struct Engine {
     threads: usize,
-    /// Requested intra-run shard count for per-node snoop replay (capped
-    /// against `threads` and the host at execution time; see
-    /// [`cap_shards`]). Shards never change results — only how the
-    /// deferred filter-event replay inside each job is parallelised — so
-    /// this is deliberately *not* part of the memo key.
-    shards: usize,
     /// Per-job wall-clock budget; `None` = unbounded.
     deadline: Option<Duration>,
     /// Every suite run so far, by its full options: its shared runs, or
@@ -206,7 +199,6 @@ impl Engine {
         assert!(threads >= 1, "the engine needs at least one worker thread");
         Self {
             threads,
-            shards: 1,
             deadline: None,
             memo: Mutex::default(),
             suites_executed: AtomicU64::new(0),
@@ -247,25 +239,17 @@ impl Engine {
         })
     }
 
-    /// Sets the requested intra-run shard count: how many slices the
-    /// per-node deferred snoop replay inside *each* job fans out to
-    /// (clamped to at least 1). The request is capped against the worker
-    /// count and the host at execution time (see `cap_shards`) so
-    /// suites×shards never oversubscribes the machine. Shards are a pure
-    /// performance knob: results are byte-identical at any count, which
-    /// is also why they are not part of the memo key.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Inert: returns the engine unchanged, since every job replays its
+    /// snoop work serially. ROADMAP item 1 deletes it once perfbench
+    /// stops calling it.
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
-    /// The default intra-run shard count: the `JETTY_SHARDS` environment
-    /// variable when set to a positive integer, otherwise 1 (serial
-    /// replay).
+    /// Inert: always 1, and reads no environment variable. ROADMAP item 1
+    /// deletes it once perfbench stops calling it.
     pub fn default_shards() -> usize {
-        let raw = std::env::var("JETTY_SHARDS").ok();
-        positive_env("JETTY_SHARDS", raw.as_deref(), "", "replaying snoop work in 1 shard(s)")
-            .unwrap_or(1)
+        1
     }
 
     /// The default per-job deadline: the `JETTY_DEADLINE_MS` environment
@@ -381,7 +365,6 @@ impl Engine {
         // raises its simulation's flag, and sibling jobs observe it at
         // their next chunk boundary.
         let cancels: Vec<Arc<AtomicBool>> = plan.sims.iter().map(|_| Arc::default()).collect();
-        let shards = cap_shards(self.shards, self.threads, host_parallelism());
         let run_job = |job: &Job| -> JobOutcome {
             let started = Instant::now();
             let options = &plan.sims[job.sim].options;
@@ -393,7 +376,7 @@ impl Engine {
             // Panics are contained per job: every profile unwinds, so a
             // panicking job fails its own suite, in the release binary too.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_app_gated(&plan.profiles[job.app], options, shards, &gate)
+                run_app_gated(&plan.profiles[job.app], options, 1, &gate)
             }))
             .unwrap_or_else(|payload| {
                 Err(JettyError::simulation(
@@ -442,7 +425,7 @@ impl Engine {
         self.jobs_executed.fetch_add(plan.jobs.len() as u64, Ordering::Relaxed);
         self.simulations_executed.fetch_add(plan.sims.len() as u64, Ordering::Relaxed);
 
-        let (results, timings) = plan.assemble(outcomes, shards);
+        let (results, timings) = plan.assemble(outcomes);
         lock_recover(&self.timings).extend(timings);
         results
     }
@@ -490,20 +473,6 @@ fn positive_env<T: FromStr + PartialOrd + From<u8>>(
 fn threads_on(raw: Option<&str>, host: Option<usize>) -> Option<usize> {
     let fallback = format!("using {} worker thread(s)", host.unwrap_or(1));
     positive_env("JETTY_THREADS", raw, "", &fallback).or(host)
-}
-
-/// Caps a requested shard count against the engine's worker count so
-/// `threads × shards` never oversubscribes the host: each of `threads`
-/// concurrent jobs may fan its replay out to the returned count. With an
-/// unknown host the request passes through (shards only ever change
-/// speed, not results, so the worst case is oversubscription, not
-/// corruption); the cap never drops below 1.
-fn cap_shards(requested: usize, threads: usize, available: Option<usize>) -> usize {
-    let requested = requested.max(1);
-    match available {
-        Some(cores) => requested.min((cores / threads.max(1)).max(1)),
-        None => requested,
-    }
 }
 
 #[cfg(test)]
@@ -806,6 +775,17 @@ mod tests {
     }
 
     #[test]
+    fn an_infinite_scale_fails_its_suite_promptly() {
+        // Unchecked, it would size a u64::MAX-reference trace and never
+        // finish; the generator's assertion fails each job at once.
+        let options = RunOptions::paper().with_scale(f64::INFINITY);
+        let err = Engine::new(2).run_suite(&options).unwrap_err();
+        assert_eq!(err.kind(), "simulation", "{err}");
+        assert_eq!(err.suite(), Some(options.id().as_str()));
+        assert!(err.detail().contains("scale must be positive and finite"), "{err}");
+    }
+
+    #[test]
     fn jetty_threads_override_takes_precedence() {
         // A valid override wins over any host parallelism, including an
         // unknown one (no fallback: the override answered the question).
@@ -841,17 +821,6 @@ mod tests {
         assert_eq!(resolve(Some(" 90 ")), Some(90));
         for bad in ["0", "-5", "soon", "", "1.5"] {
             assert_eq!(resolve(Some(bad)), None, "JETTY_DEADLINE_MS={bad:?}");
-        }
-    }
-
-    #[test]
-    fn shard_resolution_accepts_positive_counts_and_flags_garbage() {
-        let resolve = |raw| positive_env::<usize>("JETTY_SHARDS", raw, "", "1 shard");
-        assert_eq!(resolve(None), None);
-        assert_eq!(resolve(Some("4")), Some(4));
-        assert_eq!(resolve(Some(" 2 ")), Some(2));
-        for bad in ["0", "-3", "many", "", "1.5"] {
-            assert_eq!(resolve(Some(bad)), None, "JETTY_SHARDS={bad:?}");
         }
     }
 
@@ -901,46 +870,6 @@ mod tests {
                 assert_same_runs(result.as_ref().unwrap(), &alone, &options.id());
             }
         }
-    }
-
-    #[test]
-    fn shard_cap_prevents_oversubscription() {
-        // One worker on an 8-core host: the full request fits.
-        assert_eq!(cap_shards(4, 1, Some(8)), 4);
-        // Four workers on the same host: each job gets at most two shards.
-        assert_eq!(cap_shards(4, 4, Some(8)), 2);
-        // More workers than cores: still at least one shard per job.
-        assert_eq!(cap_shards(4, 16, Some(8)), 1);
-        // Unknown host: the request passes through.
-        assert_eq!(cap_shards(3, 2, None), 3);
-        // A zero request is clamped up, never down.
-        assert_eq!(cap_shards(0, 1, Some(8)), 1);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_suite_results() {
-        let options = quick(0.004);
-        let serial = Engine::new(1).run_suite(&options).unwrap();
-        let sharded = Engine::new(1).with_shards(4).run_suite(&options).unwrap();
-        assert_eq!(serial.len(), sharded.len());
-        for (s, p) in serial.iter().zip(sharded.iter()) {
-            assert_eq!(s.refs, p.refs);
-            assert_eq!(s.run, p.run);
-            assert_eq!(s.reports.len(), p.reports.len());
-            for (sr, pr) in s.reports.iter().zip(p.reports.iter()) {
-                assert_eq!(sr.filtered, pr.filtered);
-                assert_eq!(sr.would_miss, pr.would_miss);
-                assert_eq!(sr.activities, pr.activities);
-            }
-        }
-    }
-
-    #[test]
-    fn env_override_reaches_default_shards_end_to_end() {
-        std::env::set_var("JETTY_SHARDS", "3");
-        let seen = Engine::default_shards();
-        std::env::remove_var("JETTY_SHARDS");
-        assert_eq!(seen, 3);
     }
 
     #[test]

@@ -125,12 +125,10 @@ impl Plan {
     /// suite's result in request order: its runs in application order,
     /// projected onto its own bank, or its simulation's root-cause error
     /// (see [`root_cause`]) attributed to the suite. Also returns one
-    /// [`SuiteTiming`] per completed simulation, tagged with the
-    /// effective `shards` count the jobs ran at.
+    /// [`SuiteTiming`] per completed simulation.
     pub(crate) fn assemble(
         self,
         outcomes: Vec<JobOutcome>,
-        shards: usize,
     ) -> (Vec<Result<Vec<AppRun>, JettyError>>, Vec<SuiteTiming>) {
         let mut out: Vec<Result<Vec<AppRun>, JettyError>> =
             self.sims.iter().map(|_| Ok(Vec::new())).collect();
@@ -169,7 +167,7 @@ impl Plan {
                         gen: split.gen,
                         sim: split.sim,
                         kernel,
-                        shards,
+                        shards: 1,
                     });
                 }
                 Err(e) => {
@@ -343,7 +341,7 @@ pub(crate) mod tests {
                 (Err(e.unwrap_or(JettyError::Cancelled { suite: "sim".into() })), Duration::ZERO)
             })
             .collect();
-        let (mut results, timings) = plan.assemble(outcomes, 1);
+        let (mut results, timings) = plan.assemble(outcomes);
         assert!(timings.is_empty(), "a failed simulation records no timing");
         results.pop().unwrap().unwrap_err()
     }

@@ -232,25 +232,25 @@ pub fn run_app(profile: &AppProfile, options: &RunOptions) -> AppRun {
 }
 
 /// [`run_app`] under a [`RunGate`] and the process fault plan, also
-/// returning the generation/simulation wall-clock split, with the run's
-/// snoop replay fanned out to `shards` slices of the node array (1 =
-/// serial; shards never change results, see [`System::with_shards`]).
+/// returning the generation/simulation wall-clock split. The third
+/// parameter is inert: ROADMAP item 1 deletes it once perfbench stops
+/// passing it.
 ///
 /// The trace is streamed: the generator refills one reusable
 /// [`System::CHUNK_LEN`]-reference buffer per iteration and the system
-/// consumes it via [`System::run_chunk_gated`] (the batched snoop
-/// fan-out), so the whole trace is never materialised and the two
-/// stages can be timed separately at chunk granularity (two clock reads
-/// per [`System::CHUNK_LEN`] references — noise-level overhead). The
-/// gate (and any armed `slow-suite` fault) is applied at every chunk
-/// boundary and inside the per-node replay of each chunk — so a deadline
-/// expiry or cooperative cancellation stops the job within one chunk's
-/// worth of work. With an unbounded gate and no faults armed the cost is
-/// one inert fault lookup per job and cheap gate checks per chunk.
+/// consumes it via [`System::run_chunk`] (the batched snoop fan-out), so
+/// the whole trace is never materialised and the two stages can be timed
+/// separately at chunk granularity (two clock reads per
+/// [`System::CHUNK_LEN`] references — noise-level overhead). The gate
+/// (and any armed `slow-suite` fault) is applied once before every
+/// chunk, so a deadline expiry or cooperative cancellation stops the job
+/// within one chunk's worth of work. With an unbounded gate and no
+/// faults armed the cost is one inert fault lookup per job and one cheap
+/// gate check per chunk.
 pub fn run_app_gated(
     profile: &AppProfile,
     options: &RunOptions,
-    shards: usize,
+    _shards: usize,
     gate: &RunGate,
 ) -> Result<(AppRun, AppTiming), JettyError> {
     let faults = fault::active();
@@ -272,7 +272,7 @@ pub fn run_app_gated(
         }
         GateStop::Cancelled => JettyError::Cancelled { suite: options.id() },
     };
-    let mut system = System::new(options.system_config(), &options.specs).with_shards(shards);
+    let mut system = System::new(options.system_config(), &options.specs);
     let mut generator = TraceGen::new(profile, options.cpus, options.scale);
     let footprint = generator.footprint();
     let refs = generator.len();
@@ -295,7 +295,7 @@ pub fn run_app_gated(
         }
         gate.check().map_err(stop)?;
         let start = std::time::Instant::now();
-        system.run_chunk_gated(&buf, gate).map_err(stop)?;
+        system.run_chunk(&buf);
         timing.sim += start.elapsed();
     }
     let run = AppRun {

@@ -410,7 +410,6 @@ fn garbage_env_overrides_warn_once_and_name_the_fallback() {
     for (var, value, fallback_hint) in [
         ("JETTY_THREADS", "banana", "worker thread(s)"),
         ("JETTY_DEADLINE_MS", "soon", "running without a job deadline"),
-        ("JETTY_SHARDS", "many", "replaying snoop work in 1 shard(s)"),
     ] {
         let out = repro_with_env(&[(var, value)], &["table2", "--scale", "0.002"]);
         assert!(out.status.success(), "{var}={value} must not fail the run");
@@ -427,73 +426,32 @@ fn garbage_env_overrides_warn_once_and_name_the_fallback() {
 
 #[test]
 fn explicit_flags_suppress_the_env_lookup() {
-    // An explicit --threads / --shards / --deadline-ms wins silently: the
-    // garbage env value is never even inspected.
+    // An explicit --threads / --deadline-ms wins silently: the garbage env
+    // value is never even inspected.
     let out = repro_with_env(
-        &[("JETTY_THREADS", "banana"), ("JETTY_DEADLINE_MS", "soon"), ("JETTY_SHARDS", "many")],
-        &[
-            "table2",
-            "--scale",
-            "0.002",
-            "--threads",
-            "2",
-            "--deadline-ms",
-            "60000",
-            "--shards",
-            "2",
-        ],
+        &[("JETTY_THREADS", "banana"), ("JETTY_DEADLINE_MS", "soon")],
+        &["table2", "--scale", "0.002", "--threads", "2", "--deadline-ms", "60000"],
     );
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("invalid JETTY_THREADS"), "{stderr}");
     assert!(!stderr.contains("invalid JETTY_DEADLINE_MS"), "{stderr}");
-    assert!(!stderr.contains("invalid JETTY_SHARDS"), "{stderr}");
 }
 
 #[test]
 fn shards_flag_is_validated_and_documented() {
-    for (args, needle) in [
-        (vec!["table2", "--shards", "0"], "--shards must be at least 1"),
-        (vec!["table2", "--shards", "many"], "bad shard count"),
-        (vec!["table2", "--shards"], "--shards needs a value"),
-    ] {
-        let out = repro(&args);
-        assert!(!out.status.success(), "{args:?} must fail");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(needle), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: no output before the error");
-    }
+    // Snoop replay is serial: the flag is gone, so it is rejected like any
+    // other unknown flag, and the help names neither it nor its env var.
+    let out = repro(&["table2", "--shards", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag: --shards"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no output before the error");
     let help = repro(&["--help"]);
     assert!(help.status.success());
     let stdout = String::from_utf8_lossy(&help.stdout);
-    assert!(stdout.contains("--shards"), "help must document --shards");
-    assert!(stdout.contains("JETTY_SHARDS"), "help must name the env override");
-}
-
-#[test]
-fn timings_report_the_shard_count() {
-    // The shards= tag reflects the effective count: --threads 1 leaves the
-    // whole host to one job, so a 2-shard request survives the
-    // oversubscription cap on any multi-core machine (and clamps to 1 on a
-    // single-core one — accept either, but the tag must be present).
-    let out =
-        repro(&["table2", "--scale", "0.002", "--threads", "1", "--shards", "2", "--timings"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("shards=2") || stderr.contains("shards=1"),
-        "timing line lacks shards tag: {stderr}"
-    );
-    // Serial runs report the tag too, pinned at 1 (the explicit flag also
-    // shields this from any JETTY_SHARDS in the ambient environment —
-    // CI's sharded test leg exports one).
-    let serial =
-        repro(&["table2", "--scale", "0.002", "--threads", "1", "--shards", "1", "--timings"]);
-    assert!(serial.status.success());
-    assert!(
-        String::from_utf8_lossy(&serial.stderr).contains("shards=1"),
-        "serial timing line must say shards=1"
-    );
+    assert!(!stdout.contains("--shards"), "help must not document --shards");
+    assert!(!stdout.contains("JETTY_SHARDS"), "help must not name JETTY_SHARDS");
 }
 
 #[test]

@@ -71,25 +71,6 @@ fn all_scale002_stdout_matches_the_golden_file() {
 }
 
 #[test]
-fn sharded_all_scale002_stdout_matches_the_golden_file() {
-    // The golden guarantee explicitly spans shard counts: the serial
-    // per-reference pass fixes global bus order before any replay runs,
-    // so fanning the per-node snoop replay out can never reach stdout.
-    let golden = std::fs::read(golden_path("all_scale002.txt"))
-        .expect("tests/golden/all_scale002.txt unreadable — see module docs");
-    let out = Command::new(env!("CARGO_BIN_EXE_jetty-repro"))
-        .args(["all", "--scale", "0.02", "--threads", "2"])
-        .env("JETTY_SHARDS", "2")
-        .output()
-        .expect("failed to spawn jetty-repro");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(
-        out.stdout, golden,
-        "JETTY_SHARDS=2 stdout must be byte-identical to the serial golden file"
-    );
-}
-
-#[test]
 fn protocols_scale002_stdout_matches_the_golden_file() {
     assert_matches_golden("protocols", "protocols_scale002.txt");
 }

@@ -161,14 +161,6 @@ pub struct System {
     /// Reusable eviction scratch threaded through every L2 fill so the
     /// steady-state install path allocates nothing.
     evict_scratch: Vec<EvictedUnit>,
-    /// Worker shards for the end-of-chunk filter replay: nodes are
-    /// partitioned into this many contiguous slices and each slice's
-    /// event logs replay on its own scoped thread. Purely a performance
-    /// knob — the logs are recorded in global bus order by the serial
-    /// protocol pass and each node's replay is independent, so results
-    /// are byte-identical at any shard count. 1 (the default) keeps the
-    /// exact serial flush loop.
-    shards: usize,
 }
 
 // Compile-time audit that a whole simulated system can move across
@@ -211,18 +203,7 @@ impl System {
             memory_versions: FastMap::new(),
             latest_versions: FastMap::new(),
             evict_scratch: Vec::new(),
-            shards: 1,
         }
-    }
-
-    /// Sets the intra-run shard count for the end-of-chunk filter
-    /// replay (see the `shards` field). Values are clamped to at least
-    /// 1; counts beyond the node count are clamped at flush time.
-    /// Sharding never changes results, only how many threads replay
-    /// the per-node event logs.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// The system configuration.
@@ -281,8 +262,7 @@ impl System {
     /// [`jetty_core::FilterEvent`]s, and the end-of-chunk flush replays
     /// each node's list through its bank ([`FilterBank::apply_batch`]).
     /// Deferring keeps each bank's arrays out of the protocol pass's
-    /// working set, hot across a node's whole log, and lets
-    /// [`System::with_shards`] replay nodes in parallel.
+    /// working set and hot across a node's whole log.
     ///
     /// This is the one replay path, at every check level: no substrate
     /// decision or [`CheckLevel::Full`] checker reads filter state, so
@@ -294,80 +274,10 @@ impl System {
     ///
     /// [`CheckLevel::Full`]: crate::CheckLevel::Full
     pub fn run_chunk(&mut self, chunk: &[MemRef]) {
-        self.run_chunk_gated(chunk, &crate::RunGate::unbounded())
-            .unwrap_or_else(|stop| unreachable!("unbounded gate cannot stop a chunk: {stop:?}"));
-    }
-
-    /// [`System::run_chunk`] under a [`RunGate`]: the serial protocol
-    /// pass runs to completion (it is what establishes bus order), and
-    /// each shard worker of the end-of-chunk filter replay checks the
-    /// gate once per node, so a deadline or cancellation stops a
-    /// sharded run at the chunk boundary instead of waiting out the
-    /// whole flush. On `Err` the remaining nodes' event logs are left
-    /// unreplayed — the run is being abandoned, and the partial filter
-    /// state is never reported.
-    ///
-    /// [`RunGate`]: crate::RunGate
-    pub fn run_chunk_gated(
-        &mut self,
-        chunk: &[MemRef],
-        gate: &crate::RunGate,
-    ) -> Result<(), crate::GateStop> {
         for &r in chunk {
             self.step(r.cpu, r.op, r.addr);
         }
-        self.flush_filter_events(gate)
-    }
-
-    /// Replays every node's logged filter events through its bank.
-    ///
-    /// With `shards > 1` each contiguous slice of nodes replays on its own
-    /// scoped worker thread (shard 0 inline). This is deterministic by
-    /// construction: the serial protocol pass logged every node's events
-    /// in bus order, a node's bank touches only that node's state, and
-    /// the reports aggregate in node-index order.
-    fn flush_filter_events(&mut self, gate: &crate::RunGate) -> Result<(), crate::GateStop> {
-        fn replay_slice(
-            nodes: &mut [Node],
-            base: usize,
-            gate: &crate::RunGate,
-        ) -> Result<(), crate::GateStop> {
-            for (off, node) in nodes.iter_mut().enumerate() {
-                gate.check()?;
-                node.flush(base + off);
-            }
-            Ok(())
-        }
-
-        let shards = self.shards.min(self.nodes.len()).max(1);
-        if shards == 1 {
-            // The exact serial loop — no scope setup, and with an
-            // unbounded gate the per-node check is a single branch.
-            return replay_slice(&mut self.nodes, 0, gate);
-        }
-        let per_shard = self.nodes.len().div_ceil(shards);
-        let mut results: Vec<Result<(), crate::GateStop>> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let mut slices = self.nodes.chunks_mut(per_shard);
-            let first = slices.next().expect("at least one shard slice");
-            let handles: Vec<_> = slices
-                .enumerate()
-                .map(|(s, slice)| {
-                    let base = (s + 1) * per_shard;
-                    scope.spawn(move || replay_slice(slice, base, gate))
-                })
-                .collect();
-            results.push(replay_slice(first, 0, gate));
-            for h in handles {
-                // Re-raise a worker's panic as is, so an UNSAFE FILTER
-                // message keeps its filter, unit and node.
-                results.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
-            }
-        });
-        // Deterministic merge of stop reasons: the lowest shard index
-        // wins, so a simultaneous deadline/cancel race cannot flip the
-        // reported error between runs of the same shard count.
-        results.into_iter().collect()
+        self.flush_filter_events();
     }
 
     /// Performs one CPU access and flushes its filter events, so the
@@ -379,10 +289,16 @@ impl System {
     /// violation (these are bugs, not recoverable conditions).
     pub fn access(&mut self, cpu: usize, op: Op, addr: u64) -> AccessOutcome {
         let outcome = self.step(cpu, op, addr);
+        self.flush_filter_events();
+        outcome
+    }
+
+    /// Replays every node's logged filter events through its bank, in
+    /// node order.
+    fn flush_filter_events(&mut self) {
         for (i, node) in self.nodes.iter_mut().enumerate() {
             node.flush(i);
         }
-        outcome
     }
 
     /// One CPU access with its filter events left logged for the flush.
@@ -895,20 +811,6 @@ mod tests {
         // snoops to a unit it caches.
         let unit = sys.config.addr.unit_of(0x40);
         sys.nodes[1].filters.on_deallocate(unit);
-        sys.run_chunk(&[MemRef::read(0, 0x40), MemRef::read(2, 0x80)]);
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "UNSAFE FILTER: IJ-6x5x6 filtered a snoop to cached unit u0x2 on node 3"
-    )]
-    fn unsafe_filter_panic_on_a_spawned_shard_keeps_its_message() {
-        // Two shards over four nodes: node 3 replays on the spawned worker.
-        let mut sys =
-            tiny(&[FilterSpec::exclude(8, 2), FilterSpec::include(6, 5, 6)]).with_shards(2);
-        sys.access(3, Op::Read, 0x40);
-        let unit = sys.config.addr.unit_of(0x40);
-        sys.nodes[3].filters.on_deallocate(unit);
         sys.run_chunk(&[MemRef::read(0, 0x40), MemRef::read(2, 0x80)]);
     }
 }

@@ -60,11 +60,12 @@ impl TraceGen {
     /// # Panics
     ///
     /// Panics if the profile fails validation, `ncpu < 2`, or `scale` is
-    /// not positive.
+    /// not positive and finite (an infinite scale would size a
+    /// `u64::MAX`-reference trace).
     pub fn new(profile: &AppProfile, ncpu: usize, scale: f64) -> Self {
         profile.validate();
         assert!(ncpu >= 2, "an SMP workload needs at least two CPUs");
-        assert!(scale > 0.0, "scale must be positive");
+        assert!(scale > 0.0 && scale.is_finite(), "scale must be positive and finite");
         let mut layout = Layout::new();
         let states: Vec<PatternState> = profile
             .segments
@@ -278,6 +279,12 @@ mod tests {
     #[should_panic(expected = "at least two CPUs")]
     fn rejects_uniprocessor() {
         let _ = TraceGen::new(&apps::barnes(), 1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scale must be positive and finite")]
+    fn rejects_infinite_scale() {
+        let _ = TraceGen::new(&apps::barnes(), 4, f64::INFINITY);
     }
 
     #[test]

@@ -9,14 +9,11 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (then sharded)"
+echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
-# A second leg fans the snoop replay out to two shards — any scheduling
-# sensitivity in the deterministic bus-order merge fails loudly here.
 # (Replay is portable scalar code on every host; the replay_oracle
 # suite compares event-major bank replay with each filter driven alone.)
 cargo test -q
-JETTY_SHARDS=2 cargo test -q
 
 echo "==> cargo build --examples"
 cargo build --examples
@@ -27,23 +24,20 @@ python3 perfbench/selftest.py
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-# Golden stdout must be byte-identical at every shard count and check
-# level — the intra-run replay fan-out and full checking are
-# implementation details, never observable ones.
-for shards in 1 2; do
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
+# Golden stdout must be byte-identical at every check level — full
+# checking is an implementation detail, never an observable one.
+echo "==> golden output: jetty-repro all --scale 0.02 --threads 2 vs tests/golden/all_scale002.txt"
+target/release/jetty-repro all --scale 0.02 --threads 2 | diff -u tests/golden/all_scale002.txt -
 
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro all --scale 0.02 --threads 2 --check vs tests/golden/all_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro all --scale 0.02 --threads 2 --check | diff -u tests/golden/all_scale002.txt -
+echo "==> golden output: jetty-repro all --scale 0.02 --threads 2 --check vs tests/golden/all_scale002.txt"
+target/release/jetty-repro all --scale 0.02 --threads 2 --check | diff -u tests/golden/all_scale002.txt -
 
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
+echo "==> golden output: jetty-repro protocols --scale 0.02 --threads 2 vs tests/golden/protocols_scale002.txt"
+target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/golden/protocols_scale002.txt -
 
-  # The sweep is the only exhibit with the 8-way MESI/MSI platforms.
-  echo "==> golden output (JETTY_SHARDS=$shards): jetty-repro sweep --scale 0.02 --threads 2 vs tests/golden/sweep_scale002.txt"
-  JETTY_SHARDS=$shards target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
-done
+# The sweep is the only exhibit with the 8-way MESI/MSI platforms.
+echo "==> golden output: jetty-repro sweep --scale 0.02 --threads 2 vs tests/golden/sweep_scale002.txt"
+target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
 
 # One worker runs the engine's worker loop inline on the caller's thread
 # instead of under a thread scope; its output must not differ either.
