@@ -41,7 +41,6 @@ use crate::hybrid::{EjAllocation, ExcludeSide, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::null::NullFilter;
 use crate::spec::FilterSpec;
-use crate::vector_exclude::VectorExcludeJetty;
 
 /// One node's filters, built from a [`FilterSpec`] list, with one live
 /// Include-Jetty per distinct IJ geometry (see the module docs). Members
@@ -84,7 +83,6 @@ struct SharedInclude {
 enum Member {
     Null(NullFilter),
     Exclude(ExcludeJetty),
-    VectorExclude(VectorExcludeJetty),
     /// A standalone IJ: the shared state itself.
     Include(usize),
     /// A backup-policy hybrid: its exclude side over the shared IJ.
@@ -111,9 +109,7 @@ impl FilterBank {
             .map(|spec| match *spec {
                 FilterSpec::Null => Member::Null(NullFilter::new()),
                 FilterSpec::Exclude(c) => Member::Exclude(ExcludeJetty::new(c, space)),
-                FilterSpec::VectorExclude(c) => {
-                    Member::VectorExclude(VectorExcludeJetty::new(c, space))
-                }
+                FilterSpec::VectorExclude(c) => Member::Exclude(ExcludeJetty::new(c, space)),
                 FilterSpec::Include(c) => Member::Include(shared(c)),
                 FilterSpec::Hybrid(c) if c.ej_allocation == EjAllocation::Backup => {
                     Member::Hybrid(shared(c.include), ExcludeSide::new(c, space))
@@ -169,7 +165,6 @@ impl FilterBank {
             let filtered = match member {
                 Member::Null(f) => f.probe(unit).is_filtered(),
                 Member::Exclude(f) => f.snoop_step(unit, learn),
-                Member::VectorExclude(f) => f.snoop_step(unit, learn),
                 Member::Include(i) => includes[*i].filtered,
                 Member::Hybrid(i, side) => side.snoop_step(unit, includes[*i].filtered, learn),
                 Member::Eager(f) => f.snoop_step(unit, would_hit, scope),
@@ -203,7 +198,6 @@ impl FilterBank {
             match member {
                 Member::Null(_) | Member::Include(_) => {}
                 Member::Exclude(f) => f.on_allocate(unit),
-                Member::VectorExclude(f) => f.on_allocate(unit),
                 Member::Hybrid(_, side) => side.on_allocate(unit),
                 Member::Eager(f) => f.on_allocate(unit),
             }
@@ -230,7 +224,6 @@ impl FilterBank {
         match &self.members[k] {
             Member::Null(f) => f.name(),
             Member::Exclude(f) => f.name(),
-            Member::VectorExclude(f) => f.name(),
             Member::Include(i) => self.includes[*i].ij.name(),
             Member::Hybrid(_, side) => side.name(),
             Member::Eager(f) => f.name(),
@@ -242,7 +235,6 @@ impl FilterBank {
         match &self.members[k] {
             Member::Null(f) => f.arrays(),
             Member::Exclude(f) => f.arrays(),
-            Member::VectorExclude(f) => f.arrays(),
             Member::Include(i) => self.includes[*i].ij.arrays(),
             Member::Hybrid(i, side) => side.arrays(&self.includes[*i].ij),
             Member::Eager(f) => f.arrays(),
@@ -260,7 +252,6 @@ impl FilterBank {
         match &self.members[k] {
             Member::Null(f) => f.activity(),
             Member::Exclude(f) => f.activity(),
-            Member::VectorExclude(f) => f.activity(),
             Member::Include(i) => self.includes[*i].ij.activity(),
             Member::Hybrid(i, side) => side.activity(&self.includes[*i].ij),
             Member::Eager(f) => f.activity(),
@@ -280,7 +271,6 @@ impl FilterBank {
         match &mut self.members[k] {
             Member::Null(f) => f.probe(unit),
             Member::Exclude(f) => f.probe(unit),
-            Member::VectorExclude(f) => f.probe(unit),
             Member::Include(i) if self.includes[*i].filtered => Verdict::NotCached,
             Member::Include(_) => Verdict::MaybeCached,
             Member::Hybrid(i, side) => side.probe(unit, self.includes[*i].filtered),

@@ -14,6 +14,10 @@
 //! parallel on every snoop to keep latency off the critical path, so both
 //! always pay probe energy.
 //!
+//! The exclude component is one [`ExcludeJetty`], an EJ or a VEJ as its
+//! [`ExcludePart`] says (the VEJ is the same structure with a wider
+//! present vector), so every hybrid path calls it directly.
+//!
 //! Because the IJ component never learns from snoops, its state is the
 //! same as a standalone IJ's of the same geometry. Inside a
 //! [`FilterBank`](crate::FilterBank) a backup-policy hybrid therefore
@@ -24,58 +28,9 @@
 use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
-use crate::exclude::{ExcludeConfig, ExcludeJetty};
+use crate::exclude::{ExcludeJetty, ExcludePart};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
 use crate::include::{IncludeConfig, IncludeJetty};
-use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
-
-/// The exclude-side component of a hybrid: scalar or vectored.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ExcludePart {
-    /// A plain [`ExcludeJetty`].
-    Scalar(ExcludeConfig),
-    /// A [`VectorExcludeJetty`].
-    Vector(VectorExcludeConfig),
-}
-
-impl ExcludePart {
-    /// Paper-style label of the component.
-    pub fn label(&self) -> String {
-        match self {
-            ExcludePart::Scalar(c) => c.label(),
-            ExcludePart::Vector(c) => c.label(),
-        }
-    }
-}
-
-impl From<ExcludeConfig> for ExcludePart {
-    fn from(value: ExcludeConfig) -> Self {
-        ExcludePart::Scalar(value)
-    }
-}
-
-impl From<VectorExcludeConfig> for ExcludePart {
-    fn from(value: VectorExcludeConfig) -> Self {
-        ExcludePart::Vector(value)
-    }
-}
-
-#[derive(Clone, Debug)]
-enum ExcludeEngine {
-    Scalar(ExcludeJetty),
-    Vector(VectorExcludeJetty),
-}
-
-/// Statically dispatches one method call to the live exclude variant (the
-/// per-snoop paths must not pay a vtable hop inside the hybrid).
-macro_rules! exclude_dispatch {
-    ($self:expr, $f:ident ( $($arg:expr),* )) => {
-        match $self {
-            ExcludeEngine::Scalar(inner) => inner.$f($($arg),*),
-            ExcludeEngine::Vector(inner) => inner.$f($($arg),*),
-        }
-    };
-}
 
 /// When the hybrid's exclude component learns about snoop misses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -212,7 +167,7 @@ impl HybridJetty {
             return self.side.probe(addr, ij_filtered);
         }
         self.side.probes += 1;
-        let ej = exclude_dispatch!(&mut self.side.exclude, probe(addr));
+        let ej = self.side.exclude.probe(addr);
         if !(ij_filtered || ej.is_filtered()) {
             return Verdict::MaybeCached;
         }
@@ -227,7 +182,7 @@ impl HybridJetty {
             let block_absent =
                 (0..block_units).all(|k| self.include.guarantees_absent(UnitAddr::new(base | k)));
             let scope = if block_absent { MissScope::Block } else { MissScope::Unit };
-            exclude_dispatch!(&mut self.side.exclude, record_snoop_miss(addr, scope));
+            self.side.exclude.record_snoop_miss(addr, scope);
         }
         self.side.filtered += 1;
         Verdict::NotCached
@@ -268,7 +223,7 @@ impl SnoopFilter for HybridJetty {
 
     fn reset_activity(&mut self) {
         self.include.reset_activity();
-        exclude_dispatch!(&mut self.side.exclude, reset_activity());
+        self.side.exclude.reset_activity();
         self.side.probes = 0;
         self.side.filtered = 0;
     }
@@ -288,7 +243,7 @@ impl SnoopFilter for HybridJetty {
 #[derive(Clone)]
 pub(crate) struct ExcludeSide {
     config: HybridConfig,
-    exclude: ExcludeEngine,
+    exclude: ExcludeJetty,
     probes: u64,
     filtered: u64,
 }
@@ -305,11 +260,7 @@ impl fmt::Debug for ExcludeSide {
 
 impl ExcludeSide {
     pub(crate) fn new(config: HybridConfig, space: AddrSpace) -> Self {
-        let exclude = match config.exclude {
-            ExcludePart::Scalar(c) => ExcludeEngine::Scalar(ExcludeJetty::new(c, space)),
-            ExcludePart::Vector(c) => ExcludeEngine::Vector(VectorExcludeJetty::new(c, space)),
-        };
-        Self { config, exclude, probes: 0, filtered: 0 }
+        Self { config, exclude: ExcludeJetty::new(config.exclude, space), probes: 0, filtered: 0 }
     }
 
     /// One backup-policy snoop, fused into a single exclude-part lookup:
@@ -323,7 +274,7 @@ impl ExcludeSide {
     pub(crate) fn snoop_step(&mut self, addr: UnitAddr, ij_filtered: bool, learn: bool) -> bool {
         self.probes += 1;
         let learn = learn && !ij_filtered;
-        let ej = exclude_dispatch!(&mut self.exclude, snoop_step(addr, learn));
+        let ej = self.exclude.snoop_step(addr, learn);
         let filtered = ij_filtered || ej;
         self.filtered += u64::from(filtered);
         filtered
@@ -333,7 +284,7 @@ impl ExcludeSide {
     /// (probed by the caller) filtered it.
     pub(crate) fn probe(&mut self, addr: UnitAddr, ij_filtered: bool) -> Verdict {
         self.probes += 1;
-        let ej = exclude_dispatch!(&mut self.exclude, probe(addr));
+        let ej = self.exclude.probe(addr);
         if ij_filtered || ej.is_filtered() {
             self.filtered += 1;
             Verdict::NotCached
@@ -343,15 +294,15 @@ impl ExcludeSide {
     }
 
     pub(crate) fn record_snoop_miss(&mut self, addr: UnitAddr, scope: MissScope) {
-        exclude_dispatch!(&mut self.exclude, record_snoop_miss(addr, scope));
+        self.exclude.record_snoop_miss(addr, scope);
     }
 
     pub(crate) fn on_allocate(&mut self, addr: UnitAddr) {
-        exclude_dispatch!(&mut self.exclude, on_allocate(addr));
+        self.exclude.on_allocate(addr);
     }
 
     pub(crate) fn on_deallocate(&mut self, addr: UnitAddr) {
-        exclude_dispatch!(&mut self.exclude, on_deallocate(addr));
+        self.exclude.on_deallocate(addr);
     }
 
     pub(crate) fn name(&self) -> String {
@@ -361,7 +312,7 @@ impl ExcludeSide {
     /// The hybrid's arrays: `include`'s, then the exclude component's.
     pub(crate) fn arrays(&self, include: &IncludeJetty) -> Vec<ArraySpec> {
         let mut specs = include.arrays();
-        specs.extend(exclude_dispatch!(&self.exclude, arrays()));
+        specs.extend(self.exclude.arrays());
         specs
     }
 
@@ -369,7 +320,7 @@ impl ExcludeSide {
     /// component's, under the union probe/filtered counters.
     pub(crate) fn activity(&self, include: &IncludeJetty) -> FilterActivity {
         let mut arrays = include.activity().arrays;
-        arrays.extend(exclude_dispatch!(&self.exclude, activity()).arrays);
+        arrays.extend(self.exclude.activity().arrays);
         FilterActivity { arrays, probes: self.probes, filtered: self.filtered }
     }
 }
@@ -377,6 +328,7 @@ impl ExcludeSide {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exclude::{ExcludeConfig, VectorExcludeConfig};
 
     fn hj() -> HybridJetty {
         HybridJetty::new(

@@ -8,8 +8,9 @@
 //! lookup that probes, stamps the LRU clock and records in one pass; the
 //! two scans it is built from live here. Both are branch-free over the
 //! ways of one set, so when a caller monomorphises on the associativity
-//! (EJ and VEJ specialise 2 and 4 ways, with a generic fallback) the
-//! compiler unrolls them into straight-line compare-and-select code.
+//! (the exclude step, EJ and VEJ alike, specialises 2 and 4 ways, with a
+//! generic fallback) the compiler unrolls them into straight-line
+//! compare-and-select code.
 //!
 //! [`SimdLevel`] and [`active_level`] name the host's vector capability
 //! as detected at run time (`avx2` or `scalar`). The replay steps are

@@ -11,9 +11,10 @@
 //! answers most of those would-miss snoops itself:
 //!
 //! * [`ExcludeJetty`] (EJ) remembers recently snooped units that missed —
-//!   a *subset* of what is not cached;
-//! * [`VectorExcludeJetty`] (VEJ) extends EJ entries with a present-vector
-//!   to exploit spatial locality;
+//!   a *subset* of what is not cached; built from a
+//!   [`VectorExcludeConfig`], the same type is the Vector-Exclude-Jetty
+//!   (VEJ), whose entries widen the present bit into a present-vector to
+//!   exploit spatial locality;
 //! * [`IncludeJetty`] (IJ) keeps counting-Bloom-filter sub-arrays over the
 //!   cache contents — a *superset* of what is cached;
 //! * [`HybridJetty`] (HJ) probes an IJ and an EJ in parallel and filters
@@ -64,17 +65,15 @@ mod include;
 pub mod kernels;
 mod null;
 mod spec;
-mod vector_exclude;
 
 pub use addr::{AddrSpace, UnitAddr};
 pub use bank::FilterBank;
-pub use exclude::{ExcludeConfig, ExcludeJetty};
+pub use exclude::{ExcludeConfig, ExcludeJetty, ExcludePart, VectorExcludeConfig};
 pub use filter::{
     ArrayActivity, ArrayKind, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter,
     Verdict,
 };
-pub use hybrid::{EjAllocation, ExcludePart, HybridConfig, HybridJetty};
+pub use hybrid::{EjAllocation, HybridConfig, HybridJetty};
 pub use include::{IncludeConfig, IncludeJetty};
 pub use null::NullFilter;
 pub use spec::FilterSpec;
-pub use vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};

@@ -7,12 +7,13 @@
 use std::fmt;
 
 use crate::addr::AddrSpace;
-use crate::exclude::{ExcludeConfig, ExcludeJetty};
+use crate::exclude::{
+    is_valid_vector_len, ExcludeConfig, ExcludeJetty, ExcludePart, VectorExcludeConfig,
+};
 use crate::filter::SnoopFilter;
-use crate::hybrid::{EjAllocation, ExcludePart, HybridConfig, HybridJetty};
+use crate::hybrid::{EjAllocation, HybridConfig, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::null::NullFilter;
-use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 
 /// A buildable description of a JETTY configuration.
 ///
@@ -30,9 +31,9 @@ use crate::vector_exclude::{VectorExcludeConfig, VectorExcludeJetty};
 pub enum FilterSpec {
     /// No filtering (baseline).
     Null,
-    /// An [`ExcludeJetty`].
+    /// A one-lane [`ExcludeJetty`] (EJ).
     Exclude(ExcludeConfig),
-    /// A [`VectorExcludeJetty`].
+    /// A vectored [`ExcludeJetty`] (VEJ).
     VectorExclude(VectorExcludeConfig),
     /// An [`IncludeJetty`].
     Include(IncludeConfig),
@@ -91,7 +92,7 @@ impl FilterSpec {
         match *self {
             FilterSpec::Null => Box::new(NullFilter::new()),
             FilterSpec::Exclude(c) => Box::new(ExcludeJetty::new(c, space)),
-            FilterSpec::VectorExclude(c) => Box::new(VectorExcludeJetty::new(c, space)),
+            FilterSpec::VectorExclude(c) => Box::new(ExcludeJetty::new(c, space)),
             FilterSpec::Include(c) => Box::new(IncludeJetty::new(c, space)),
             FilterSpec::Hybrid(c) => Box::new(HybridJetty::new(c, space)),
         }
@@ -274,7 +275,7 @@ fn parse_vej_dims(s: &str) -> Option<(usize, usize, usize)> {
     let (dims, vlen) = s.split_once('-')?;
     let (sets, ways) = parse_ej_dims(dims)?;
     let vlen: usize = vlen.parse().ok()?;
-    (vlen.is_power_of_two() && vlen >= 2).then_some((sets, ways, vlen))
+    is_valid_vector_len(vlen).then_some((sets, ways, vlen))
 }
 
 /// Parses `ExNxS`, validating what [`IncludeConfig::new`] asserts.
@@ -361,6 +362,7 @@ mod tests {
         let mut bank = FilterSpec::paper_bank();
         bank.push(FilterSpec::Null);
         bank.push(FilterSpec::hybrid_scalar_eager(9, 4, 7, 32, 4));
+        bank.push(FilterSpec::vector_exclude(8, 4, 32));
         for spec in bank {
             assert_eq!(FilterSpec::from_id(&spec.id()), Some(spec), "{}", spec.id());
         }
@@ -380,6 +382,9 @@ mod tests {
             "ej-axb",
             "vej-16x4",
             "vej-16x4-3",
+            "vej-8x4-64",
+            "vej-8x4-128",
+            "hj-ij10x4x7-vej32x4-64",
             "ij-0x4x7",
             "ij-31x4x7",
             "ij-10x4",

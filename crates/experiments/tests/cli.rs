@@ -249,6 +249,18 @@ fn axis_flag_validates_names_and_values() {
 }
 
 #[test]
+fn sweep_rejects_vectors_wider_than_32_lanes_before_running() {
+    // A 128-lane present vector cannot share a 64-bit key word with its
+    // tag; the id is refused up front instead of building a filter that
+    // would filter snoops to cached units.
+    let out = repro(&["sweep", "--scale", "0.02", "--axis", "filter=vej-8x4-128"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(r#"unknown filter id "vej-8x4-128""#), "{stderr}");
+    assert!(out.stdout.is_empty(), "no tables before the error");
+}
+
+#[test]
 fn sweep_runs_a_two_axis_grid_with_observable_cache_reuse() {
     let out = repro(&["sweep", "--scale", "0.002", "--threads", "2", "--timings"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));

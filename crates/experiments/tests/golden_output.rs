@@ -20,7 +20,14 @@
 //!     > tests/golden/protocols_scale002.txt
 //! cargo run --release --bin jetty-repro -- sweep --scale 0.02 --threads 2 \
 //!     > tests/golden/sweep_scale002.txt
+//! cargo run --release --bin jetty-repro -- sweep --scale 0.02 --threads 2 \
+//!     --axis cpus=4,8 --axis nsb=sb,nsb \
+//!     --axis filter=ej-8x2,ej-32x4,vej-8x2-2,vej-16x4-8,vej-32x4-32,hj-ij10x4x7-vej32x4-8,hj-ij9x4x7-ej16x2-eager \
+//!     > tests/golden/sweep_filters_scale002.txt
 //! ```
+//!
+//! The last one covers the exclude family from one lane to 32, a vector
+//! hybrid and an eager hybrid, over both block grains.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -30,15 +37,20 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name)
 }
 
-/// Runs `jetty-repro <command> --scale 0.02 --threads 2` and asserts the
-/// stdout matches the named golden file byte for byte, pointing at the
-/// first diverging line on failure.
-fn assert_matches_golden(command: &str, golden_name: &str) {
+/// The filter axis of `sweep_filters_scale002.txt` (see the module docs).
+const SWEEP_FILTERS: &str = "ej-8x2,ej-32x4,vej-8x2-2,vej-16x4-8,vej-32x4-32,\
+                             hj-ij10x4x7-vej32x4-8,hj-ij9x4x7-ej16x2-eager";
+
+/// Runs `jetty-repro <command> --scale 0.02 --threads 2 <extra>` and
+/// asserts the stdout matches the named golden file byte for byte,
+/// pointing at the first diverging line on failure.
+fn assert_matches_golden(command: &str, extra: &[&str], golden_name: &str) {
     let golden = std::fs::read(golden_path(golden_name)).unwrap_or_else(|e| {
         panic!("tests/golden/{golden_name} unreadable ({e}) — see module docs")
     });
     let out = Command::new(env!("CARGO_BIN_EXE_jetty-repro"))
         .args([command, "--scale", "0.02", "--threads", "2"])
+        .args(extra)
         .output()
         .expect("failed to spawn jetty-repro");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
@@ -67,18 +79,28 @@ fn assert_matches_golden(command: &str, golden_name: &str) {
 
 #[test]
 fn all_scale002_stdout_matches_the_golden_file() {
-    assert_matches_golden("all", "all_scale002.txt");
+    assert_matches_golden("all", &[], "all_scale002.txt");
 }
 
 #[test]
 fn protocols_scale002_stdout_matches_the_golden_file() {
-    assert_matches_golden("protocols", "protocols_scale002.txt");
+    assert_matches_golden("protocols", &[], "protocols_scale002.txt");
 }
 
 #[test]
 fn sweep_scale002_stdout_matches_the_golden_file() {
     // The default grid is the only exhibit with the 8-way MESI/MSI platforms.
-    assert_matches_golden("sweep", "sweep_scale002.txt");
+    assert_matches_golden("sweep", &[], "sweep_scale002.txt");
+}
+
+#[test]
+fn sweep_filters_scale002_stdout_matches_the_golden_file() {
+    // Every exclude lane count from 1 to 32 and both block grains: the
+    // coverage columns pin the filters' behaviour, `bytes` their array
+    // accounting.
+    let filters = format!("filter={SWEEP_FILTERS}");
+    let axes = ["--axis", "cpus=4,8", "--axis", "nsb=sb,nsb", "--axis", &filters];
+    assert_matches_golden("sweep", &axes, "sweep_filters_scale002.txt");
 }
 
 #[test]

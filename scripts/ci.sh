@@ -39,6 +39,14 @@ target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/go
 echo "==> golden output: jetty-repro sweep --scale 0.02 --threads 2 vs tests/golden/sweep_scale002.txt"
 target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
 
+# The filter grid pins the exclude family from one lane to 32 (EJ and VEJ
+# are one implementation), a vector and an eager hybrid, and both block
+# grains, with the array accounting in the bytes column.
+SWEEP_FILTERS=ej-8x2,ej-32x4,vej-8x2-2,vej-16x4-8,vej-32x4-32,hj-ij10x4x7-vej32x4-8,hj-ij9x4x7-ej16x2-eager
+echo "==> golden output: jetty-repro sweep --scale 0.02 --threads 2 (filter grid) vs tests/golden/sweep_filters_scale002.txt"
+target/release/jetty-repro sweep --scale 0.02 --threads 2 --axis cpus=4,8 --axis nsb=sb,nsb \
+  --axis "filter=$SWEEP_FILTERS" | diff -u tests/golden/sweep_filters_scale002.txt -
+
 # One worker runs the engine's worker loop inline on the caller's thread
 # instead of under a thread scope; its output must not differ either.
 echo "==> golden output (one worker): jetty-repro all --scale 0.02 --threads 1 vs tests/golden/all_scale002.txt"
