@@ -36,7 +36,9 @@
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::exclude::ExcludeJetty;
-use crate::filter::{ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter, Verdict};
+use crate::filter::{
+    ArraySpec, EventView, FilterActivity, FilterEvent, MissScope, SnoopFilter, Verdict,
+};
 use crate::hybrid::{EjAllocation, ExcludeSide, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
 use crate::null::NullFilter;
@@ -135,13 +137,13 @@ impl FilterBank {
     /// substrate would have made eagerly. `node` only labels the
     /// filter-safety panic (see [`FilterBank::snoop`]).
     pub fn apply_batch(&mut self, events: &[FilterEvent], node: usize) {
-        for &event in events {
-            match event {
-                FilterEvent::Snoop { unit, would_hit, scope } => {
+        for event in events {
+            match event.view() {
+                EventView::Snoop { unit, would_hit, scope } => {
                     self.snoop(unit, would_hit, scope, node)
                 }
-                FilterEvent::Allocate(unit) => self.on_allocate(unit),
-                FilterEvent::Deallocate(unit) => self.on_deallocate(unit),
+                EventView::Allocate(unit) => self.on_allocate(unit),
+                EventView::Deallocate(unit) => self.on_deallocate(unit),
             }
         }
     }
@@ -344,8 +346,7 @@ mod tests {
         // An empty IJ filters everything, so a snoop claiming a cached
         // unit must trip the safety check on the first IJ user.
         let mut bank = FilterBank::new(&shared_geometry_bank(), AddrSpace::default());
-        let lie =
-            FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
+        let lie = FilterEvent::snoop(UnitAddr::new(5), true, MissScope::Unit);
         bank.apply_batch(&[lie], 3);
     }
 
@@ -356,8 +357,7 @@ mod tests {
     fn batched_unsafe_hybrid_names_the_hybrid_and_node() {
         let mut bank =
             FilterBank::new(&[FilterSpec::hybrid_scalar(9, 4, 7, 32, 4)], AddrSpace::default());
-        let lie =
-            FilterEvent::Snoop { unit: UnitAddr::new(5), would_hit: true, scope: MissScope::Unit };
+        let lie = FilterEvent::snoop(UnitAddr::new(5), true, MissScope::Unit);
         bank.apply_batch(&[lie], 2);
     }
 

@@ -387,6 +387,15 @@ impl ExcludeJetty {
     /// replay harness.
     #[inline(always)]
     pub(crate) fn snoop_step(&mut self, addr: UnitAddr, learn: bool) -> bool {
+        self.snoop_step_with(addr, || learn)
+    }
+
+    /// [`snoop_step`](ExcludeJetty::snoop_step) with `learn` decided
+    /// lazily: it is called at most once, and only when the probe did not
+    /// filter, so a caller whose decision has a cost (the eager hybrid's
+    /// p-bit reads) pays it only when the record could happen.
+    #[inline(always)]
+    pub(crate) fn snoop_step_with(&mut self, addr: UnitAddr, learn: impl FnOnce() -> bool) -> bool {
         match (self.ways, self.lanes) {
             (2, 1) => self.snoop_ways::<2, 1>(addr, learn),
             (4, 1) => self.snoop_ways::<4, 1>(addr, learn),
@@ -397,11 +406,15 @@ impl ExcludeJetty {
         }
     }
 
-    /// [`snoop_step`](ExcludeJetty::snoop_step) over `W`-way sets of
-    /// `V`-lane entries (`0`: the configured value), so the set scans
-    /// unroll and an EJ's key arithmetic folds to constants.
+    /// [`snoop_step_with`](ExcludeJetty::snoop_step_with) over `W`-way
+    /// sets of `V`-lane entries (`0`: the configured value), so the set
+    /// scans unroll and an EJ's key arithmetic folds to constants.
     #[inline(always)]
-    fn snoop_ways<const W: usize, const V: u32>(&mut self, addr: UnitAddr, learn: bool) -> bool {
+    fn snoop_ways<const W: usize, const V: u32>(
+        &mut self,
+        addr: UnitAddr,
+        learn: impl FnOnce() -> bool,
+    ) -> bool {
         let ways = if W == 0 { self.ways } else { W };
         let lanes = if V == 0 { self.lanes } else { V };
         self.activity.probes += 1;
@@ -418,21 +431,22 @@ impl ExcludeJetty {
                     self.activity.filtered += 1;
                     return true;
                 }
-                if learn {
+                if learn() {
                     self.records += 1;
                     keys[way] |= bit;
                     self.clock += 1;
                     stamps[way] = self.clock;
                 }
             }
-            None if learn => {
-                self.records += 1;
-                self.clock += 1;
-                let victim = lru_victim(stamps);
-                keys[victim] = tag | bit;
-                stamps[victim] = self.clock;
+            None => {
+                if learn() {
+                    self.records += 1;
+                    self.clock += 1;
+                    let victim = lru_victim(stamps);
+                    keys[victim] = tag | bit;
+                    stamps[victim] = self.clock;
+                }
             }
-            None => {}
         }
         false
     }

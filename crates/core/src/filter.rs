@@ -155,29 +155,43 @@ impl FilterActivity {
 }
 
 /// One deferred filter notification, as logged by the SMP substrate's
-/// batched hot path.
+/// batched hot path, packed into one 8-byte word.
 ///
 /// Filters are pure bystanders: their state depends only on the ordered
 /// sequence of notifications *they themselves* receive, never on protocol
 /// state. The substrate exploits this by logging one compact event per
-/// notification while it simulates a chunk of references scalar-fashion,
-/// then replaying each node's event list through its bank
+/// notification while it simulates references scalar-fashion, then
+/// replaying each node's event list through its bank
 /// ([`FilterBank::apply_batch`](crate::FilterBank::apply_batch)), event by
 /// event, with the bank's independent filters stepped side by side so
 /// their serial update chains overlap. Replaying the events in order is
 /// *exactly* equivalent to the eager calls, including energy accounting.
 ///
+/// The word holds the unit in its high [`FilterEvent::UNIT_BITS`] bits and
+/// the kind, `would_hit` and scope in its low three, so a log costs 8 bytes
+/// per event where the enum it replaces cost 16. Build events with
+/// [`FilterEvent::snoop`], [`FilterEvent::allocate`] and
+/// [`FilterEvent::deallocate`]; match on the decoded [`EventView`] from
+/// [`FilterEvent::view`]. A unit wider than `UNIT_BITS` bits is rejected
+/// with a panic (`SystemConfig::validate` in `jetty-sim` rejects address
+/// spaces that could produce one).
+///
 /// # Examples
 ///
 /// ```
-/// use jetty_core::{FilterEvent, MissScope, UnitAddr};
+/// use jetty_core::{EventView, FilterEvent, MissScope, UnitAddr};
 ///
-/// let ev =
-///     FilterEvent::Snoop { unit: UnitAddr::new(7), would_hit: false, scope: MissScope::Block };
-/// assert!(matches!(ev, FilterEvent::Snoop { .. }));
+/// let ev = FilterEvent::snoop(UnitAddr::new(7), false, MissScope::Block);
+/// assert_eq!(std::mem::size_of::<FilterEvent>(), 8);
+/// assert!(matches!(ev.view(), EventView::Snoop { would_hit: false, .. }));
+/// assert_eq!(ev.unit(), UnitAddr::new(7));
 /// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct FilterEvent(u64);
+
+/// A [`FilterEvent`] decoded for matching (and its `Debug` form).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FilterEvent {
+pub enum EventView {
     /// A bus snoop probed this node: the filter is probed, and — when the
     /// snoop was not filtered and the L2 would miss (`!would_hit`) — the
     /// filter learns the miss via
@@ -196,6 +210,98 @@ pub enum FilterEvent {
     Allocate(UnitAddr),
     /// The local L2 lost a valid copy ([`on_deallocate`](SnoopFilter::on_deallocate)).
     Deallocate(UnitAddr),
+}
+
+impl FilterEvent {
+    /// Widest unit address an event can carry, in bits.
+    pub const UNIT_BITS: u32 = 61;
+    /// Low bits holding the kind, `would_hit` and scope.
+    const CODE_BITS: u32 = 64 - Self::UNIT_BITS;
+    const ALLOCATE: u64 = 0b000;
+    const DEALLOCATE: u64 = 0b001;
+    /// Set for a snoop, whose two low bits are then `would_hit` (bit 0)
+    /// and a unit-scope miss (bit 1).
+    const SNOOP: u64 = 0b100;
+    const WOULD_HIT: u64 = 0b001;
+    const UNIT_SCOPE: u64 = 0b010;
+
+    /// A bus snoop to `unit` (see [`EventView::Snoop`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is wider than [`FilterEvent::UNIT_BITS`] bits.
+    #[inline]
+    pub fn snoop(unit: UnitAddr, would_hit: bool, scope: MissScope) -> Self {
+        let scope = if scope == MissScope::Unit { Self::UNIT_SCOPE } else { 0 };
+        let would_hit = if would_hit { Self::WOULD_HIT } else { 0 };
+        Self::pack(unit, Self::SNOOP | scope | would_hit)
+    }
+
+    /// The local L2 gained `unit` (see [`EventView::Allocate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is wider than [`FilterEvent::UNIT_BITS`] bits.
+    #[inline]
+    pub fn allocate(unit: UnitAddr) -> Self {
+        Self::pack(unit, Self::ALLOCATE)
+    }
+
+    /// The local L2 lost `unit` (see [`EventView::Deallocate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is wider than [`FilterEvent::UNIT_BITS`] bits.
+    #[inline]
+    pub fn deallocate(unit: UnitAddr) -> Self {
+        Self::pack(unit, Self::DEALLOCATE)
+    }
+
+    #[inline]
+    fn pack(unit: UnitAddr, code: u64) -> Self {
+        if unit.raw() >> Self::UNIT_BITS != 0 {
+            unit_too_wide(unit);
+        }
+        Self(unit.raw() << Self::CODE_BITS | code)
+    }
+
+    /// The coherence unit the event concerns.
+    #[inline]
+    pub fn unit(self) -> UnitAddr {
+        UnitAddr::new(self.0 >> Self::CODE_BITS)
+    }
+
+    /// The event decoded for matching.
+    #[inline]
+    pub fn view(self) -> EventView {
+        let unit = self.unit();
+        let code = self.0 & ((1 << Self::CODE_BITS) - 1);
+        if code & Self::SNOOP != 0 {
+            let scope =
+                if code & Self::UNIT_SCOPE != 0 { MissScope::Unit } else { MissScope::Block };
+            EventView::Snoop { unit, would_hit: code & Self::WOULD_HIT != 0, scope }
+        } else if code == Self::DEALLOCATE {
+            EventView::Deallocate(unit)
+        } else {
+            EventView::Allocate(unit)
+        }
+    }
+}
+
+impl fmt::Debug for FilterEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// Panics with the named message for a unit no [`FilterEvent`] can carry.
+#[cold]
+#[inline(never)]
+fn unit_too_wide(unit: UnitAddr) -> ! {
+    panic!(
+        "FilterEvent: unit {unit} is wider than the {} bits an event carries",
+        FilterEvent::UNIT_BITS
+    );
 }
 
 /// Panics with the standard filter-safety message: the filter called
@@ -299,6 +405,33 @@ mod tests {
         a.filtered = 4;
         assert!((a.filter_rate() - 0.4).abs() < 1e-12);
         assert_eq!(a.arrays.len(), 2);
+    }
+
+    #[test]
+    fn events_round_trip_every_kind_and_flag_at_both_unit_extremes() {
+        let widest = UnitAddr::new((1 << FilterEvent::UNIT_BITS) - 1);
+        for unit in [UnitAddr::new(0), widest] {
+            for would_hit in [false, true] {
+                for scope in [MissScope::Block, MissScope::Unit] {
+                    let ev = FilterEvent::snoop(unit, would_hit, scope);
+                    assert_eq!(ev.view(), EventView::Snoop { unit, would_hit, scope });
+                    assert_eq!(ev.unit(), unit);
+                }
+            }
+            assert_eq!(FilterEvent::allocate(unit).view(), EventView::Allocate(unit));
+            assert_eq!(FilterEvent::deallocate(unit).view(), EventView::Deallocate(unit));
+        }
+        assert_eq!(std::mem::size_of::<FilterEvent>(), 8);
+        assert_eq!(
+            format!("{:?}", FilterEvent::deallocate(UnitAddr::new(5))),
+            "Deallocate(UnitAddr(5))"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "FilterEvent: unit u0x2000000000000000 is wider than the 61 bits")]
+    fn events_reject_a_62_bit_unit() {
+        let _ = FilterEvent::allocate(UnitAddr::new(1 << 61));
     }
 
     #[test]

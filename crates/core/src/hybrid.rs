@@ -141,22 +141,32 @@ impl HybridJetty {
     }
 
     /// One snoop through the hybrid and its private IJ: the IJ's
-    /// branch-free p-bit step, the union verdict (running the eager
-    /// ablation's EJ learning), then on an unfiltered genuine miss the
-    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss). Returns
-    /// whether the hybrid filtered the snoop. A
-    /// [`FilterBank`](crate::FilterBank) steps only eager-allocation
+    /// branch-free p-bit step, then one fused exclude-part lookup
+    /// ([`ExcludeJetty::snoop_step_with`]) that probes and, when the
+    /// exclude part did not filter, records what the union verdict lets
+    /// it learn — the [`probe`](SnoopFilter::probe) +
+    /// [`record_snoop_miss`](SnoopFilter::record_snoop_miss) pair, with
+    /// the same counters. Returns whether the hybrid filtered the snoop.
+    /// A [`FilterBank`](crate::FilterBank) steps only eager-allocation
     /// hybrids through here: the ablation reads its IJ's p-bits and
     /// mutates the exclude part on IJ-filtered snoops, so its IJ stays
     /// private. Backup-policy hybrids share the bank's IJ and step
     /// through [`ExcludeSide::snoop_step`].
     pub(crate) fn snoop_step(&mut self, addr: UnitAddr, would_hit: bool, scope: MissScope) -> bool {
         let ij_filtered = self.include.snoop_step(addr);
-        let filtered = self.union(addr, ij_filtered).is_filtered();
-        if !filtered && !would_hit {
-            self.side.record_snoop_miss(addr, scope);
-        }
-        filtered
+        let learn = !would_hit && scope == MissScope::Block;
+        let eager = self.side.config.ej_allocation == EjAllocation::Eager;
+        let include = &mut self.include;
+        // An IJ-filtered snoop is a guaranteed L2 miss: the eager ablation
+        // records it when the whole block is IJ-absent, a backup hybrid
+        // never does.
+        self.side.snoop_step_with(addr, ij_filtered, || {
+            if ij_filtered {
+                eager && block_absent(include, addr)
+            } else {
+                learn
+            }
+        })
     }
 
     /// Probes the exclude component and combines its verdict with the
@@ -173,20 +183,24 @@ impl HybridJetty {
         }
         // Eager ablation: a filtered snoop is a guaranteed L2 miss, so the
         // EJ may record it immediately even though the substrate will not
-        // report it (the hybrid filtered it). Block-grain recording
-        // requires every sibling unit of the block to be IJ-guaranteed
-        // absent; the extra p-bit reads are charged.
+        // report it (the hybrid filtered it).
         if !ej.is_filtered() {
-            let block_units = 1u64 << self.include.space().block_unit_shift();
-            let base = addr.raw() & !(block_units - 1);
-            let block_absent =
-                (0..block_units).all(|k| self.include.guarantees_absent(UnitAddr::new(base | k)));
-            let scope = if block_absent { MissScope::Block } else { MissScope::Unit };
+            let block = block_absent(&mut self.include, addr);
+            let scope = if block { MissScope::Block } else { MissScope::Unit };
             self.side.exclude.record_snoop_miss(addr, scope);
         }
         self.side.filtered += 1;
         Verdict::NotCached
     }
+}
+
+/// Whether `include` guarantees every unit of `addr`'s block absent, the
+/// condition for the eager ablation to record a block-grain miss. Its
+/// p-bit reads are charged to `include`.
+fn block_absent(include: &mut IncludeJetty, addr: UnitAddr) -> bool {
+    let block_units = 1u64 << include.space().block_unit_shift();
+    let base = addr.raw() & !(block_units - 1);
+    (0..block_units).all(|k| include.guarantees_absent(UnitAddr::new(base | k)))
 }
 
 impl SnoopFilter for HybridJetty {
@@ -272,9 +286,21 @@ impl ExcludeSide {
     /// the union verdict.
     #[inline]
     pub(crate) fn snoop_step(&mut self, addr: UnitAddr, ij_filtered: bool, learn: bool) -> bool {
+        self.snoop_step_with(addr, ij_filtered, || learn && !ij_filtered)
+    }
+
+    /// [`snoop_step`](ExcludeSide::snoop_step) with the exclude part's
+    /// record decided by `learn`, called only when the exclude part did
+    /// not filter ([`ExcludeJetty::snoop_step_with`]).
+    #[inline]
+    fn snoop_step_with(
+        &mut self,
+        addr: UnitAddr,
+        ij_filtered: bool,
+        learn: impl FnOnce() -> bool,
+    ) -> bool {
         self.probes += 1;
-        let learn = learn && !ij_filtered;
-        let ej = self.exclude.snoop_step(addr, learn);
+        let ej = self.exclude.snoop_step_with(addr, learn);
         let filtered = ij_filtered || ej;
         self.filtered += u64::from(filtered);
         filtered

@@ -70,8 +70,8 @@ pub use addr::{AddrSpace, UnitAddr};
 pub use bank::FilterBank;
 pub use exclude::{ExcludeConfig, ExcludeJetty, ExcludePart, VectorExcludeConfig};
 pub use filter::{
-    ArrayActivity, ArrayKind, ArraySpec, FilterActivity, FilterEvent, MissScope, SnoopFilter,
-    Verdict,
+    ArrayActivity, ArrayKind, ArraySpec, EventView, FilterActivity, FilterEvent, MissScope,
+    SnoopFilter, Verdict,
 };
 pub use hybrid::{EjAllocation, HybridConfig, HybridJetty};
 pub use include::{IncludeConfig, IncludeJetty};

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use jetty_core::{
-    AddrSpace, FilterBank, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr,
+    AddrSpace, EventView, FilterBank, FilterEvent, FilterSpec, MissScope, SnoopFilter, UnitAddr,
 };
 use proptest::prelude::*;
 
@@ -45,7 +45,7 @@ fn build_events(
             // on misses).
             0 => {
                 if allocated.insert(unit) {
-                    events.push(FilterEvent::Allocate(UnitAddr::new(unit)));
+                    events.push(FilterEvent::allocate(UnitAddr::new(unit)));
                 }
             }
             // Deallocate the nearest allocated unit at or above the seed
@@ -55,7 +55,7 @@ fn build_events(
                     allocated.range(unit..).next().or_else(|| allocated.iter().next()).copied();
                 if let Some(u) = pick {
                     allocated.remove(&u);
-                    events.push(FilterEvent::Deallocate(UnitAddr::new(u)));
+                    events.push(FilterEvent::deallocate(UnitAddr::new(u)));
                 }
             }
             // Snoop: the common case, so six of eight selector values.
@@ -65,7 +65,7 @@ fn build_events(
                 let block_cached =
                     allocated.range(block << shift..(block + 1) << shift).next().is_some();
                 let scope = if block_cached { MissScope::Unit } else { MissScope::Block };
-                events.push(FilterEvent::Snoop { unit: UnitAddr::new(unit), would_hit, scope });
+                events.push(FilterEvent::snoop(UnitAddr::new(unit), would_hit, scope));
             }
         }
     }
@@ -82,17 +82,17 @@ fn assert_oracle_holds(bank: &[FilterSpec], actions: &[Action], chunk_len: usize
 /// Drives one filter alone through `events` with its trait methods, the
 /// way the substrate would eagerly.
 fn drive_alone(filter: &mut dyn SnoopFilter, events: &[FilterEvent]) {
-    for &event in events {
-        match event {
-            FilterEvent::Snoop { unit, would_hit, scope } => {
+    for event in events {
+        match event.view() {
+            EventView::Snoop { unit, would_hit, scope } => {
                 let filtered = filter.probe(unit).is_filtered();
                 assert!(!(filtered && would_hit), "{} filtered a cached unit", filter.name());
                 if !filtered && !would_hit {
                     filter.record_snoop_miss(unit, scope);
                 }
             }
-            FilterEvent::Allocate(unit) => filter.on_allocate(unit),
-            FilterEvent::Deallocate(unit) => filter.on_deallocate(unit),
+            EventView::Allocate(unit) => filter.on_allocate(unit),
+            EventView::Deallocate(unit) => filter.on_deallocate(unit),
         }
     }
 }
@@ -234,11 +234,7 @@ proptest! {
         let block_units = 1u64 << space.block_unit_shift();
         let sweep: BTreeSet<u64> = events
             .iter()
-            .map(|e| match *e {
-                FilterEvent::Snoop { unit, .. }
-                | FilterEvent::Allocate(unit)
-                | FilterEvent::Deallocate(unit) => unit.raw() & !(block_units - 1),
-            })
+            .map(|e| e.unit().raw() & !(block_units - 1))
             .flat_map(|base| base..base + block_units)
             .collect();
         let mut bank = FilterSpec::paper_bank();
@@ -248,7 +244,7 @@ proptest! {
 }
 
 fn snoop(unit: u64, would_hit: bool) -> FilterEvent {
-    FilterEvent::Snoop { unit: UnitAddr::new(unit), would_hit, scope: MissScope::Block }
+    FilterEvent::snoop(UnitAddr::new(unit), would_hit, MissScope::Block)
 }
 
 /// Two members turn unsafe at different events of one chunk: the EJ

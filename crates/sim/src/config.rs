@@ -1,6 +1,6 @@
 //! System and cache configuration for the SMP substrate.
 
-use jetty_core::AddrSpace;
+use jetty_core::{AddrSpace, FilterEvent};
 
 use crate::l2::L2Cache;
 use crate::protocol::ProtocolKind;
@@ -195,10 +195,21 @@ impl SystemConfig {
     /// Panics if the L1 block size differs from the L2 subblock size, if
     /// the address-space unit shift differs from the L2 subblock shift, if
     /// there are fewer than two CPUs, if the writeback buffer is empty, or
+    /// if a coherence-unit address could need more than the
+    /// [`FilterEvent::UNIT_BITS`] bits a logged filter event carries, or
     /// if an L2 tag (the address bits above the block offset and index)
     /// could need more than [`L2Cache::TAG_BITS`] bits.
     pub fn validate(&self) {
         assert!(self.cpus >= 2, "an SMP needs at least two processors, got {}", self.cpus);
+        assert!(
+            self.addr.unit_bits() <= FilterEvent::UNIT_BITS,
+            "coherence units too wide: a {}-bit address space over {}-byte units needs {} unit \
+             bits, but a filter event carries at most {}",
+            self.addr.pa_bits(),
+            self.addr.unit_bytes(),
+            self.addr.unit_bits(),
+            FilterEvent::UNIT_BITS
+        );
         assert_eq!(
             self.l1.block_bytes,
             self.l2.subblock_bytes(),
@@ -324,6 +335,35 @@ mod tests {
         let mut c = SystemConfig::paper_4way();
         c.addr = AddrSpace::with_block_shift(64, 5, 6);
         c.validate();
+    }
+
+    /// A configuration whose coherence units are `unit_shift`-bit-offset
+    /// units of a 64-bit address space, consistent in every other field:
+    /// 16 subblocks per block, and enough L2 blocks that the tag fits.
+    fn wide_units(unit_shift: u32) -> SystemConfig {
+        let unit = 1 << unit_shift;
+        SystemConfig {
+            l1: L1Config::new(64 * 1024, unit),
+            l2: L2Config::new((unit * 16) << 20, unit * 16, 16),
+            addr: AddrSpace::with_block_shift(64, unit_shift, unit_shift + 4),
+            ..SystemConfig::paper_4way()
+        }
+    }
+
+    #[test]
+    fn validate_accepts_units_of_exactly_61_bits() {
+        let c = wide_units(3);
+        assert_eq!(c.addr.unit_bits(), FilterEvent::UNIT_BITS);
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "coherence units too wide: a 64-bit address space over 4-byte units needs 62 \
+                    unit bits, but a filter event carries at most 61"
+    )]
+    fn validate_rejects_units_wider_than_61_bits() {
+        wide_units(2).validate();
     }
 
     #[test]

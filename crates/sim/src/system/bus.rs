@@ -109,7 +109,7 @@ impl System {
             // 2. The filter bank observes the snoop. Filters are pure
             // bystanders, so the bank walk is deferred to the flush: one
             // logged event here, replayed through the bank step later.
-            node.log(FilterEvent::Snoop { unit, would_hit, scope });
+            node.log(FilterEvent::snoop(unit, would_hit, scope), i);
         }
         if let Some(entry) = retired {
             self.retire_to_memory(entry);
@@ -163,7 +163,7 @@ impl System {
                     node.stats.snoop_supplies += 1;
                     response.supplied_version = Some(version);
                 }
-                node.log(FilterEvent::Deallocate(unit));
+                node.log(FilterEvent::deallocate(unit), i);
             }
         }
     }

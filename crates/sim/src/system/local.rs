@@ -229,9 +229,9 @@ impl System {
                     self.retire_to_memory(forced);
                 }
             }
-            self.nodes[cpu].log(FilterEvent::Deallocate(ev.unit));
+            self.nodes[cpu].log(FilterEvent::deallocate(ev.unit), cpu);
         }
-        self.nodes[cpu].log(FilterEvent::Allocate(unit));
+        self.nodes[cpu].log(FilterEvent::allocate(unit), cpu);
         self.evict_scratch = evicted;
     }
 }

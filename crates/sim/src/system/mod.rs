@@ -224,16 +224,23 @@ impl System {
     /// References per internal chunk of [`System::run`] (and the chunk
     /// size streamed `run_app` callers should use).
     ///
-    /// Every node's event log and the caller's trace buffer are sized by
-    /// it. A log keeps its high-water capacity, so it holds its busiest
-    /// chunk's event count rounded up to a power of two, at 16 bytes per
-    /// [`jetty_core::FilterEvent`]: a snoop-heavy 8-way job kept about
-    /// 2 MiB of logs at 16Ki, twice its L2 records, and keeps about
-    /// 512 KiB at 4Ki. Smaller chunks flush each bank more often but were no slower down to 4Ki (2-vCPU
-    /// x86_64 VM, scale 0.1); below it peak RSS fell by less each halving
-    /// (protocol-grid 8.2 MiB at 16Ki, 6.5 at 8Ki, 5.0 at 4Ki, 4.8 at
-    /// 2Ki; docs/ARCHITECTURE.md §2a.2).
+    /// It sets the caller's trace buffer and how often a run meets its
+    /// gate and deadline checks, but no longer the filter-event logs:
+    /// those are bounded by [`System::LOG_LEN`] whatever the chunk length.
+    /// Smaller chunks were no slower down to 4Ki (2-vCPU x86_64 VM,
+    /// scale 0.1; docs/ARCHITECTURE.md §2a.2).
     pub const CHUNK_LEN: usize = 4096;
+
+    /// Most filter events a node's log holds. A log that reaches it is
+    /// replayed through the node's bank at once, mid-chunk; each bank
+    /// still sees its own events in order, so every report is unchanged.
+    /// At 8 bytes per [`jetty_core::FilterEvent`] a log never grows past
+    /// 4 KiB. Logs that kept their busiest chunk's capacity held 64 KiB
+    /// per node at 4Ki chunks and 16-byte events; bounding and packing
+    /// them took protocol-grid's peak RSS from about 5.0 to 4.4 MiB. A
+    /// bound of 256 saved only 0.05 MiB more, and 2048 gave back 0.25 MiB
+    /// (docs/ARCHITECTURE.md §2a.1).
+    pub const LOG_LEN: usize = 512;
 
     /// Runs an entire trace through the system by buffering it into
     /// [`System::CHUNK_LEN`]-reference chunks and delegating to
@@ -259,18 +266,20 @@ impl System {
     /// sequential, but filters are pure bystanders whose state depends
     /// only on the ordered event stream each one receives — so during the
     /// chunk the snoop path logs compact per-node
-    /// [`jetty_core::FilterEvent`]s, and the end-of-chunk flush replays
-    /// each node's list through its bank ([`FilterBank::apply_batch`]).
-    /// Deferring keeps each bank's arrays out of the protocol pass's
-    /// working set and hot across a node's whole log.
+    /// [`jetty_core::FilterEvent`]s, and a flush replays each node's list
+    /// through its bank ([`FilterBank::apply_batch`]): a node's own flush
+    /// when its log reaches [`System::LOG_LEN`], and every node's at the
+    /// end of the chunk. Deferring keeps each bank's arrays out of the
+    /// protocol pass's working set and hot across a run of its events.
     ///
     /// This is the one replay path, at every check level: no substrate
     /// decision or [`CheckLevel::Full`] checker reads filter state, so
     /// the checkers still see every intermediate state, and the
-    /// filter-safety panic fires at the flush, naming the earliest
-    /// offending event's unit, node and member. An empty bank logs
-    /// nothing. All events are flushed before this returns, so callers
-    /// may inspect filter state between chunks.
+    /// filter-safety panic fires at a flush, naming the node's earliest
+    /// offending event's unit and member. Across nodes it names the first
+    /// node to flush an offending event. An empty bank logs nothing. All
+    /// events are flushed before this returns, so callers may inspect
+    /// filter state between chunks.
     ///
     /// [`CheckLevel::Full`]: crate::CheckLevel::Full
     pub fn run_chunk(&mut self, chunk: &[MemRef]) {
@@ -628,6 +637,30 @@ mod tests {
         }
         sys.verify_inclusion();
         sys.verify_filter_consistency();
+    }
+
+    #[test]
+    fn no_log_ever_holds_more_than_log_len_events() {
+        // Migratory writes: each unit is stored to by every CPU in turn,
+        // so every store snoops the other three nodes, and each node logs
+        // several times LOG_LEN events in one chunk.
+        let mut sys = paper(&FilterSpec::paper_bank());
+        let refs: Vec<MemRef> = (0..System::CHUNK_LEN as u64)
+            .map(|i| MemRef::write((i % 4) as usize, (i / 4 % 64) * 32))
+            .collect();
+        let mut most = 0;
+        for &r in &refs {
+            sys.step(r.cpu, r.op, r.addr);
+            for node in &sys.nodes {
+                assert!(node.events.len() < System::LOG_LEN, "a full log must drain at once");
+                assert!(node.events.capacity() <= System::LOG_LEN);
+                most = most.max(node.events.len());
+            }
+        }
+        assert_eq!(most, System::LOG_LEN - 1, "every log should come close to the bound");
+        assert!(sys.nodes.iter().all(|n| n.stats.snoops_seen as usize > 2 * System::LOG_LEN));
+        sys.flush_filter_events();
+        assert!(sys.nodes.iter().all(|n| n.events.is_empty()));
     }
 
     #[test]

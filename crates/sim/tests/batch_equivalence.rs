@@ -1,6 +1,7 @@
 //! Chunk-boundary equivalence: every [`System`] logs filter events and
 //! replays them at a flush — once per chunk in [`System::run_chunk`],
-//! after every access in [`System::apply`]. Where the flushes fall must be
+//! after every access in [`System::apply`], and mid-chunk for a node
+//! whose log reaches [`System::LOG_LEN`]. Where the flushes fall must be
 //! *invisible*: a chunked run and a reference-at-a-time run over the same
 //! trace must agree on every observable — protocol statistics, L2 states,
 //! and every filter's probes/filtered/would-miss counts and per-node array
@@ -156,6 +157,38 @@ fn full_check_chunked_run_equals_per_access_run() {
         let mut sys = System::new(tiny_config(4, ProtocolKind::Moesi, CheckLevel::Full), &bank);
         sys.run_chunk(&refs);
         sys.verify_inclusion();
+    }
+}
+
+/// One chunk in which every node logs several times [`System::LOG_LEN`]
+/// events (each unit is stored to by every CPU in turn, so every store
+/// snoops three nodes), against the per-access run: the mid-chunk flushes
+/// of full logs must not show in any observable.
+#[test]
+fn a_chunk_that_overflows_the_log_equals_the_per_access_run() {
+    let refs: Vec<MemRef> = (0..3000u64)
+        .map(|i| MemRef {
+            cpu: (i % 4) as usize,
+            op: if i % 5 == 0 { Op::Read } else { Op::Write },
+            addr: (i / 4 % 40) * 32,
+        })
+        .collect();
+    for check in [CheckLevel::Off, CheckLevel::Full] {
+        let config = tiny_config(4, ProtocolKind::Moesi, check);
+        let mut chunked = System::new(config, &FilterSpec::paper_bank());
+        chunked.run_chunk(&refs);
+        for cpu in 0..4 {
+            let snoops = chunked.node_stats(cpu).snoops_seen as usize;
+            assert!(snoops > System::LOG_LEN, "node {cpu} logged only {snoops} snoops");
+        }
+        assert_batched_matches_scalar(
+            &refs,
+            refs.len(),
+            ProtocolKind::Moesi,
+            check,
+            &FilterSpec::paper_bank(),
+            40,
+        );
     }
 }
 

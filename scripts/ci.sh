@@ -39,6 +39,9 @@ target/release/jetty-repro protocols --scale 0.02 --threads 2 | diff -u tests/go
 echo "==> golden output: jetty-repro sweep --scale 0.02 --threads 2 vs tests/golden/sweep_scale002.txt"
 target/release/jetty-repro sweep --scale 0.02 --threads 2 | diff -u tests/golden/sweep_scale002.txt -
 
+echo "==> golden output: jetty-repro sweep --scale 0.02 --threads 2 --check vs tests/golden/sweep_scale002.txt"
+target/release/jetty-repro sweep --scale 0.02 --threads 2 --check | diff -u tests/golden/sweep_scale002.txt -
+
 # The filter grid pins the exclude family from one lane to 32 (EJ and VEJ
 # are one implementation), a vector and an eager hybrid, and both block
 # grains, with the array accounting in the bytes column.
