@@ -28,9 +28,7 @@ const IJ_SKIPS: [u32; 4] = [2, 4, 6, 8];
 /// The suite options (and cache key) behind [`ij_skip_ablation`].
 pub fn ij_skip_options(scale: f64, check: bool) -> RunOptions {
     let specs = IJ_SKIPS.iter().map(|&s| FilterSpec::include(8, 4, s)).collect();
-    let mut options = RunOptions::paper().with_scale(scale).with_specs(specs);
-    options.check = check;
-    options
+    RunOptions::paper().with_scale(scale).with_specs(specs).with_check(check)
 }
 
 /// Sweeps the Include-Jetty index skip from heavy overlap to disjoint
@@ -75,9 +73,7 @@ fn ej_writes(run: &AppRun, label: &str) -> u64 {
 pub fn hj_policy_options(scale: f64, check: bool) -> RunOptions {
     let backup = FilterSpec::hybrid_scalar(9, 4, 7, 32, 4);
     let eager = FilterSpec::hybrid_scalar_eager(9, 4, 7, 32, 4);
-    let mut options = RunOptions::paper().with_scale(scale).with_specs(vec![backup, eager]);
-    options.check = check;
-    options
+    RunOptions::paper().with_scale(scale).with_specs(vec![backup, eager]).with_check(check)
 }
 
 /// Compares the paper's backup EJ-allocation policy against the eager

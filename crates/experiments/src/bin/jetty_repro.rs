@@ -9,17 +9,16 @@
 //!             [--deadline-ms MS] [--strict]
 //! ```
 //!
-//! One subcommand per paper exhibit; [`COMMANDS`] is the authoritative
-//! list (also printed by `--help`). Default: `all`.
-//!
-//! Every suite-consuming subcommand draws its runs from one shared
-//! [`Engine`]: the needed suites are collected up front and executed
-//! concurrently on `--threads` workers (default: available parallelism,
-//! or `JETTY_THREADS`), then each exhibit populates typed
-//! [`TableData`] records from the engine's memo in paper order. The whole
-//! [`ResultSet`] is rendered once at the end by the `--format` renderer —
-//! aligned text (the default; byte-identical to the historical output),
-//! JSON, or CSV.
+//! One subcommand per exhibit of [`jetty_experiments::exhibits`] (the one
+//! place an exhibit is added), plus `all` and the run-store commands;
+//! [`commands`] is the authoritative list, also printed by `--help`.
+//! Default: `all`. An invocation selects the named exhibits, prefetches
+//! the suites they declare as one batch on a shared [`Engine`] with
+//! `--threads` workers (default: available parallelism, or
+//! `JETTY_THREADS`), builds each exhibit's [`TableData`] from the engine's
+//! memo in paper order, and renders the [`ResultSet`] once with the
+//! `--format` renderer (text, byte-identical to the historical output;
+//! JSON; or CSV).
 //!
 //! Failure model: a failed suite does not abort the invocation. Every
 //! exhibit the failure feeds is skipped, the surviving exhibits render
@@ -34,51 +33,29 @@
 // paths carry typed errors instead of panicking.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashSet;
 use std::env;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jetty_experiments::engine::{Engine, SuiteTiming};
+use jetty_experiments::engine::Engine;
 use jetty_experiments::error::{exit, JettyError};
-use jetty_experiments::figures::{self, Fig6Panel};
+use jetty_experiments::exhibits::{Context, Exhibit};
 use jetty_experiments::results::render::Format;
 use jetty_experiments::results::{Cell, ResultSet, TableData};
-use jetty_experiments::runner::{parse_scale, AppRun, RunOptions};
+use jetty_experiments::runner::{parse_scale, RunOptions};
 use jetty_experiments::store::diff::{diff_runs, DiffOptions};
 use jetty_experiments::store::{self, RunInfo, RunRef, RunStore};
-use jetty_experiments::sweep::{self, Axis, SweepGrid};
-use jetty_experiments::{ablation, protocols, tables};
+use jetty_experiments::sweep::Axis;
 
-/// Every recognised subcommand: the paper's exhibits in paper order, then
-/// the extensions (`protocols` and `sweep` are *not* part of `all` — see
-/// [`usage`]), then the run-store commands (`runs`, `diff`), which read
-/// recorded results instead of simulating.
-const COMMANDS: &[&str] = &[
-    "all",
-    "table1",
-    "fig2",
-    "table2",
-    "table3",
-    "table4",
-    "fig4a",
-    "fig4b",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "smp8",
-    "nsb",
-    "calibrate",
-    "ablation",
-    "protocols",
-    "sweep",
-    "runs",
-    "diff",
-];
+/// Every recognised subcommand: `all`, the exhibits in the order `all`
+/// prints them (the extensions last), then the run-store commands.
+fn commands() -> Vec<&'static str> {
+    let exhibits = Exhibit::ALL.map(Exhibit::name);
+    ["all"].into_iter().chain(exhibits).chain(["runs", "diff"]).collect()
+}
 
 /// The `--help` text (stdout, exit 0 — distinct from the unknown-flag
 /// error path, which goes to stderr and exits nonzero).
@@ -111,7 +88,7 @@ fn usage() -> String {
          exit codes: 0 = clean, 2 = partial (results rendered but some \
          suites failed, or the store append failed), 1 = total failure or \
          usage error",
-        COMMANDS.join(" ")
+        commands().join(" ")
     )
 }
 
@@ -149,14 +126,9 @@ struct Cli {
     strict: bool,
 }
 
-/// Outcome of argument parsing: a run to perform, or an informational
-/// request (help) that short-circuits with success.
-enum Parsed {
-    Run(Box<Cli>),
-    Help,
-}
-
-fn parse_args() -> Result<Parsed, String> {
+/// Parses the command line: the run to perform, or `None` for `--help`,
+/// which short-circuits with success.
+fn parse_args() -> Result<Option<Cli>, String> {
     let mut cli = Cli {
         commands: Vec::new(),
         scale: 1.0,
@@ -230,17 +202,17 @@ fn parse_args() -> Result<Parsed, String> {
                 cli.deadline_ms = Some(positive(&mut args, "--deadline-ms", "deadline")?);
             }
             "--strict" => cli.strict = true,
-            "--help" | "-h" => return Ok(Parsed::Help),
+            "--help" | "-h" => return Ok(None),
             cmd if !cmd.starts_with('-') => {
                 if pending_diff_refs > 0 {
                     pending_diff_refs -= 1;
                     cli.diff_refs.push(cmd.to_string());
                     continue;
                 }
-                if !COMMANDS.contains(&cmd) {
+                if !commands().contains(&cmd) {
                     return Err(format!(
                         "unknown command: {cmd} (commands: {})",
-                        COMMANDS.join(" ")
+                        commands().join(" ")
                     ));
                 }
                 if cmd == "diff" {
@@ -279,7 +251,7 @@ fn parse_args() -> Result<Parsed, String> {
     if cli.strict && !cli.commands.iter().any(|c| c == "runs") {
         return Err("--strict only applies to runs".into());
     }
-    Ok(Parsed::Run(Box::new(cli)))
+    Ok(Some(cli))
 }
 
 /// Reads the value of `flag` from `args` as a positive integer; `noun`
@@ -394,14 +366,10 @@ fn run_diff(cli: &Cli) -> Result<(ResultSet, bool), String> {
     Ok((report.to_result_set(), clean))
 }
 
-/// Commands that need a full 4-way suite run.
-const SUITE_COMMANDS: &[&str] =
-    &["all", "table2", "table3", "fig4a", "fig4b", "fig5a", "fig5b", "fig6"];
-
 fn main() -> ExitCode {
     let cli = match parse_args() {
-        Ok(Parsed::Run(cli)) => *cli,
-        Ok(Parsed::Help) => {
+        Ok(Some(cli)) => cli,
+        Ok(None) => {
             println!("{}", usage());
             return ExitCode::SUCCESS;
         }
@@ -438,281 +406,125 @@ fn main() -> ExitCode {
         };
     }
 
-    let wants = |cmd: &str| cli.commands.iter().any(|c| c == cmd || c == "all");
-    // `protocols` and `sweep` extend the reproduction beyond the paper's
-    // exhibits, so they must be requested by name: folding them into `all`
-    // would change `jetty-repro all` output, which is kept byte-comparable
-    // across versions.
-    let wants_protocols = cli.commands.iter().any(|c| c == "protocols");
-    let wants_sweep = cli.commands.iter().any(|c| c == "sweep");
-
     // The sweep grid: the default protocol × cpus comparison, reshaped by
     // any `--axis` flags (validated here so errors precede simulation).
-    let mut grid = SweepGrid::default_grid(cli.scale);
+    let mut ctx = Context::new(cli.scale, cli.cpus, cli.check);
     for (axis, values) in &cli.axes {
-        if let Err(e) = grid.set_axis(*axis, values) {
+        if let Err(e) = ctx.grid.set_axis(*axis, values) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     }
 
-    // One builder so scale/check (and any future all-suite option) stay in
-    // sync across every cache key this process uses.
-    let suite_options = |cpus: usize, non_subblocked: bool| {
-        let mut options = RunOptions::paper().with_scale(cli.scale).with_cpus(cpus);
-        options.non_subblocked = non_subblocked;
-        options.check = cli.check;
-        options
-    };
-    // One 4-way suite pass feeds every workload-driven table/figure.
-    let base_options = suite_options(cli.cpus, false);
-    let smp8_options = suite_options(8, false);
-    let nsb_options = suite_options(4, true);
+    // Select: the named exhibits, plus every member of `all` when `all` is
+    // named, in the registry's order, each once.
+    let named =
+        |e: Exhibit| cli.commands.iter().any(|c| c == e.name() || (c == "all" && e.in_all()));
+    let selected: Vec<Exhibit> = Exhibit::ALL.into_iter().filter(|&e| named(e)).collect();
 
-    // Collect every suite the requested commands will consume and run them
-    // through the engine as one concurrent batch; the per-command code
-    // below then renders from the cache, in paper order.
-    let needs_suite = SUITE_COMMANDS.iter().any(|c| wants(c)) || wants("calibrate");
-    let mut prefetch: Vec<RunOptions> = Vec::new();
-    if needs_suite {
-        prefetch.push(base_options.clone());
-    }
-    if wants("smp8") {
-        prefetch.push(smp8_options.clone());
-    }
-    if wants("nsb") {
-        prefetch.push(nsb_options.clone());
-    }
-    if wants("ablation") {
-        prefetch.push(ablation::ij_skip_options(cli.scale, cli.check));
-        prefetch.push(ablation::hj_policy_options(cli.scale, cli.check));
-    }
-    if wants_protocols {
-        prefetch.extend(protocols::protocols_prefetch(cli.scale, cli.check));
-    }
-    if wants_sweep {
-        prefetch.extend(grid.suites(cli.check));
-    }
-    // Size the pool only when suites will actually run, so commands that
-    // never simulate (and explicit `--threads`/`--deadline-ms`) skip the
-    // env lookups.
-    let engine = if prefetch.is_empty() {
-        Engine::new(1)
-    } else {
-        let deadline = match cli.deadline_ms {
-            Some(ms) => Some(Duration::from_millis(ms)),
-            None => Engine::default_deadline(),
-        };
-        Engine::new(cli.threads.unwrap_or_else(Engine::default_threads)).with_deadline(deadline)
-    };
-    // Per-simulation wall-clock attribution (stderr only): lets perf work
-    // blame time without external profilers. Printed after every batch
-    // the engine executes, so late, non-prefetched suites still report.
-    let report_timings = |timings: &[SuiteTiming]| {
-        if !cli.timings {
-            return;
-        }
-        for t in timings {
-            eprintln!(
-                "[timing] simulation {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
-                 kernel={} suites={}",
-                t.options.describe(),
-                t.elapsed.as_secs_f64(),
-                t.jobs,
-                t.gen.as_secs_f64(),
-                t.sim.as_secs_f64(),
-                t.kernel,
-                t.suites.join(",")
-            );
-        }
-    };
+    // Prefetch: every suite the selected exhibits read, as one concurrent
+    // engine batch, so each build below renders from the cache. Repeated
+    // keys stay in: the engine coalesces them and counts the repeats as
+    // cache hits, which the `[sweep]` line reports.
+    let prefetch: Vec<RunOptions> = selected.iter().flat_map(|e| e.suites(&ctx)).collect();
 
     // Failed suites, in first-seen order, deduplicated by suite id (the
     // engine's error memo answers repeat requests with the same error, so
     // a suite that feeds several exhibits must still report once). Each
     // failure also gets one stderr line at the moment it is recorded.
     let mut failures: Vec<JettyError> = Vec::new();
-    let mut failed_seen: HashSet<String> = HashSet::new();
-    let record_failure =
-        |failures: &mut Vec<JettyError>, failed_seen: &mut HashSet<String>, e: JettyError| {
-            let key = e.suite().map(str::to_string).unwrap_or_else(|| e.to_string());
-            if failed_seen.insert(key) {
-                eprintln!("error: {e}");
-                failures.push(e);
-            }
-        };
+    let mut record_failure = |e: JettyError| {
+        let key = |e: &JettyError| e.suite().map(str::to_string).unwrap_or_else(|| e.to_string());
+        if failures.iter().all(|seen| key(seen) != key(&e)) {
+            eprintln!("error: {e}");
+            failures.push(e);
+        }
+    };
 
-    // Suite-simulation wall-clock of this invocation: what `--store`
-    // records as `timing_ms` and `diff --timing-band` later compares.
+    // Size the pool only when suites will actually run, so commands that
+    // never simulate (and explicit `--threads`/`--deadline-ms`) skip the
+    // env lookups. `suite_elapsed_ms` is what `--store` records as
+    // `timing_ms` and `diff --timing-band` later compares.
+    let mut engine = Engine::new(1);
     let mut suite_elapsed_ms: u64 = 0;
     if !prefetch.is_empty() {
+        let deadline = cli.deadline_ms.map(Duration::from_millis).or_else(Engine::default_deadline);
+        engine = Engine::new(cli.threads.unwrap_or_else(Engine::default_threads))
+            .with_deadline(deadline);
         let started = Instant::now();
-        let suites = engine.run_suites(&prefetch);
-        // Coalesced requests return the same Arc (e.g. `all --cpus 8`
-        // makes the base and smp8 suites one key); count each once.
-        let mut seen = std::collections::HashSet::new();
-        for outcome in suites {
-            match outcome {
-                Ok(runs) => {
-                    seen.insert(Arc::as_ptr(&runs));
-                }
-                Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-            }
+        for e in engine.run_suites(&prefetch).into_iter().filter_map(Result::err) {
+            record_failure(e);
         }
         suite_elapsed_ms = started.elapsed().as_millis() as u64;
         let stats = engine.stats();
         let timings = engine.take_timings();
         let refs: u64 = timings.iter().map(|t| t.refs).sum();
         // Suites the commands consume vs simulations actually run: the
-        // engine folds same-platform suites into one simulation.
+        // engine folds same-platform suites into one simulation. On this
+        // fresh engine every distinct suite that succeeded executed once
+        // (e.g. `all --cpus 8` makes the base and smp8 suites one key).
         eprintln!(
             "[engine: {} suites as {} simulations ({} jobs, {:.1}M refs) on {} threads, {:.1}s]",
-            seen.len(),
+            stats.suites_executed,
             stats.simulations_executed,
             stats.jobs_executed,
             refs as f64 / 1e6,
             engine.threads(),
             started.elapsed().as_secs_f64()
         );
-        report_timings(&timings);
-    }
-
-    // The base suite feeds most exhibits; when it failed, each of them is
-    // skipped (the failure is already recorded above) and the independent
-    // exhibits carry on.
-    let suite: Option<Arc<Vec<AppRun>>> = if needs_suite {
-        match engine.run_suite(&base_options) {
-            Ok(runs) => Some(runs),
-            Err(e) => {
-                record_failure(&mut failures, &mut failed_seen, e);
-                None
+        // Per-simulation wall-clock attribution (stderr only): lets perf
+        // work blame time without external profilers. The prefetch runs
+        // every simulation of the invocation, so this is all of them.
+        if cli.timings {
+            for t in &timings {
+                eprintln!(
+                    "[timing] simulation {}: {:.3}s across {} jobs (gen {:.3}s, sim {:.3}s) \
+                     kernel={} suites={}",
+                    t.options.describe(),
+                    t.elapsed.as_secs_f64(),
+                    t.jobs,
+                    t.gen.as_secs_f64(),
+                    t.sim.as_secs_f64(),
+                    t.kernel,
+                    t.suites.join(",")
+                );
             }
         }
-    } else {
-        None
-    };
+    }
 
-    // Collect typed, render late: every exhibit pushes its TableData here
-    // and one renderer pass at the end produces the whole stdout (the text
-    // renderer reproduces the historical one-println!-per-table stream
-    // byte for byte).
+    // Build: each selected exhibit in order, from the engine's memo.
+    // Collect typed, render late: one renderer pass at the end produces
+    // the whole stdout (the text renderer reproduces the historical
+    // one-println!-per-table stream byte for byte). An exhibit whose suite
+    // failed is skipped (its failure is already recorded above) and the
+    // independent exhibits carry on.
     let mut set = ResultSet::new();
-    let mut emit = |table: TableData| set.push(table);
-
-    if wants("table1") {
-        emit(tables::table1());
-    }
-    if wants("fig2") {
-        emit(figures::fig2(32, 10));
-        emit(figures::fig2(64, 10));
-    }
-    if wants("table2") {
-        if let Some(suite) = &suite {
-            emit(tables::table2(suite));
-        }
-    }
-    if wants("table3") {
-        if let Some(suite) = &suite {
-            emit(tables::table3(suite));
-        }
-    }
-    if wants("fig4a") {
-        if let Some(suite) = &suite {
-            emit(figures::fig4a(suite));
-        }
-    }
-    if wants("fig4b") {
-        if let Some(suite) = &suite {
-            emit(figures::fig4b(suite));
-        }
-    }
-    if wants("fig5a") {
-        if let Some(suite) = &suite {
-            emit(figures::fig5a(suite));
-        }
-    }
-    if wants("fig5b") {
-        if let Some(suite) = &suite {
-            emit(figures::fig5b(suite));
-        }
-    }
-    if wants("table4") {
-        emit(tables::table4());
-    }
-    if wants("fig6") {
-        if let Some(suite) = &suite {
-            for panel in [
-                Fig6Panel::SnoopSerial,
-                Fig6Panel::AllSerial,
-                Fig6Panel::SnoopParallel,
-                Fig6Panel::AllParallel,
-            ] {
-                emit(figures::fig6(suite, panel));
+    for exhibit in &selected {
+        for table in exhibit.build(&engine, &ctx) {
+            match table {
+                Ok(table) => set.push(table),
+                Err(e) => record_failure(e),
             }
         }
     }
-    if wants("calibrate") {
-        if let Some(suite) = &suite {
-            emit(tables::calibration(suite));
-        }
-    }
-    if wants("smp8") {
-        match engine.run_suite(&smp8_options) {
-            Ok(runs) => emit(figures::smp8_summary(&runs)),
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
-    }
-    if wants("nsb") {
-        match engine.run_suite(&nsb_options) {
-            Ok(runs) => emit(figures::nsb_summary(&runs)),
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
-    }
-    if wants("ablation") {
-        match ablation::ij_skip_ablation(&engine, cli.scale, cli.check) {
-            Ok(table) => emit(table),
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
-        match ablation::hj_policy_ablation(&engine, cli.scale, cli.check) {
-            Ok(table) => emit(table),
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
-    }
-    if wants_protocols {
-        match protocols::protocols_table(&engine, cli.scale, cli.check) {
-            Ok(table) => emit(table),
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
-    }
-    if wants_sweep {
-        match sweep::sweep_results(&engine, &grid, cli.check) {
-            Ok(results) => {
-                for table in results.tables {
-                    emit(table);
-                }
-            }
-            Err(e) => record_failure(&mut failures, &mut failed_seen, e),
-        }
+    if selected.contains(&Exhibit::Sweep) {
         // The grid's cache economics, engine-wide: with `sweep` alone the
-        // prefetch executes one simulation per suite and the render pass
-        // reads one cached suite per point, so the hit rate is
-        // points / (points + suites); sharing keys with other commands in
+        // prefetch executes one simulation per suite and the build reads
+        // one cached suite per point, so the hit rate is
+        // points / (points + suites); sharing keys with other exhibits in
         // the same invocation (e.g. `protocols sweep`) raises it.
         let stats = engine.stats();
         eprintln!(
             "[sweep] grid {} -> {} points over {} suites; engine cache: {} hits / {} requests \
              (hit rate {:.1}%)",
-            grid.describe(),
-            grid.points().len(),
-            grid.suites(cli.check).len(),
+            ctx.grid.describe(),
+            ctx.grid.points().len(),
+            ctx.grid.suites(cli.check).len(),
             stats.cache_hits,
             stats.cache_hits + stats.suites_executed + stats.suites_failed,
             100.0 * stats.hit_rate(),
         );
     }
-    // Suites executed outside the prefetch batch (normally none — the
-    // prefetch covers every command — but kept exact regardless).
-    report_timings(&engine.take_timings());
 
     // Failed suites render as an ordinary table — last, so the surviving
     // exhibits above it keep their byte-identical positions in every
@@ -758,7 +570,7 @@ fn main() -> ExitCode {
             unix_time: store::unix_time_now(),
             git_rev: store::git_rev(),
             command: cli.commands.join(" "),
-            options: base_options.id(),
+            options: ctx.base().id(),
             timing_ms,
         };
         match RunStore::open(path).append(&info, &set) {

@@ -89,6 +89,14 @@ pub enum Fig6Panel {
 }
 
 impl Fig6Panel {
+    /// The four panels, in the paper's (a)-(d) order.
+    pub const ALL: [Fig6Panel; 4] = [
+        Fig6Panel::SnoopSerial,
+        Fig6Panel::AllSerial,
+        Fig6Panel::SnoopParallel,
+        Fig6Panel::AllParallel,
+    ];
+
     fn mode(self) -> AccessMode {
         match self {
             Fig6Panel::SnoopSerial | Fig6Panel::AllSerial => AccessMode::Serial,

@@ -14,9 +14,9 @@
 //! jetty-repro fig5a fig5b    # IJ / HJ coverage
 //! jetty-repro table4         # IJ storage
 //! jetty-repro fig6           # energy reductions (4 panels)
+//! jetty-repro calibrate      # measured-vs-paper deltas
 //! jetty-repro smp8           # 8-way summary (§4.3.4)
 //! jetty-repro nsb            # non-subblocked summary
-//! jetty-repro calibrate      # measured-vs-paper deltas
 //! jetty-repro ablation       # IJ index-overlap + HJ allocation-policy studies
 //! jetty-repro protocols      # MOESI/MESI/MSI coverage + energy sweep
 //! jetty-repro sweep          # declarative multi-axis scenario grid
@@ -38,7 +38,9 @@
 //!
 //! * builders ([`tables`], [`figures`], [`protocols`], [`ablation`],
 //!   [`sweep`]) populate [`results::TableData`] with typed
-//!   [`results::Cell`]s — no formatting happens here;
+//!   [`results::Cell`]s — no formatting happens here — and the
+//!   [`exhibits`] registry names each exhibit once, with the suites it
+//!   reads and the builders it calls: the one place an exhibit is added;
 //! * the [`results`] module renders a finished [`results::ResultSet`]
 //!   through a pluggable [`results::render::Renderer`] (aligned text —
 //!   byte-identical to the historical output — JSON, or CSV);
@@ -65,6 +67,7 @@
 pub mod ablation;
 pub mod engine;
 pub mod error;
+pub mod exhibits;
 pub mod fault;
 pub mod figures;
 mod plan;

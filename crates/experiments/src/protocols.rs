@@ -18,8 +18,7 @@
 //! state keeps off the bus.
 //!
 //! This suite is an *extension* of the reproduction, not one of the
-//! paper's exhibits, so `jetty-repro all` does not include it (that output
-//! stays byte-comparable across versions); request it explicitly.
+//! paper's exhibits, so `jetty-repro all` does not include it.
 
 use jetty_core::FilterSpec;
 use jetty_energy::{AccessMode, ProtocolEnergy, SmpEnergyModel};
@@ -37,19 +36,11 @@ fn swept_spec() -> FilterSpec {
 
 /// The suite options (and cache key) for one protocol of the sweep.
 pub fn protocol_options(scale: f64, check: bool, protocol: ProtocolKind) -> RunOptions {
-    let mut options = RunOptions::paper()
+    RunOptions::paper()
         .with_scale(scale)
         .with_specs(vec![swept_spec()])
-        .with_protocol(protocol);
-    options.check = check;
-    options
-}
-
-/// All three suites of the sweep, in render order — `jetty-repro`
-/// prefetches these so the protocols run concurrently with each other
-/// (and with anything else the invocation needs).
-pub fn protocols_prefetch(scale: f64, check: bool) -> Vec<RunOptions> {
-    ProtocolKind::ALL.iter().map(|&p| protocol_options(scale, check, p)).collect()
+        .with_protocol(protocol)
+        .with_check(check)
 }
 
 /// Renders the per-application coverage + energy table across MOESI, MESI
@@ -125,19 +116,6 @@ mod tests {
             assert!(s.contains(name), "missing column {name}: {s}");
         }
         assert!(s.contains("AVG"));
-    }
-
-    #[test]
-    fn prefetch_keys_match_the_rendered_suites() {
-        let engine = Engine::new(2);
-        let keys = protocols_prefetch(0.002, false);
-        assert_eq!(keys.len(), 3);
-        engine.run_suites(&keys);
-        let executed = engine.stats().suites_executed;
-        assert_eq!(executed, 3, "three distinct protocol suites");
-        // Rendering afterwards must be pure cache hits.
-        let _ = protocols_table(&engine, 0.002, false).unwrap();
-        assert_eq!(engine.stats().suites_executed, executed);
     }
 
     #[test]

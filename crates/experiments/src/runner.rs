@@ -78,6 +78,12 @@ impl RunOptions {
         self
     }
 
+    /// Switches full runtime checking on or off.
+    pub fn with_check(mut self, check: bool) -> Self {
+        self.check = check;
+        self
+    }
+
     /// Selects the non-subblocked L2 variant (the paper's platform is
     /// subblocked; the `nsb` sweep axis flips this).
     pub fn with_non_subblocked(mut self, non_subblocked: bool) -> Self {

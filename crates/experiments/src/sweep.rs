@@ -241,14 +241,15 @@ impl SweepGrid {
             for &protocol in &self.protocols {
                 for &scale in &self.scales {
                     for &nsb in &self.non_subblocked {
-                        let mut options = RunOptions::paper()
-                            .with_scale(scale)
-                            .with_cpus(cpus)
-                            .with_specs(self.filters.clone())
-                            .with_protocol(protocol)
-                            .with_non_subblocked(nsb);
-                        options.check = check;
-                        suites.push(options);
+                        suites.push(
+                            RunOptions::paper()
+                                .with_scale(scale)
+                                .with_cpus(cpus)
+                                .with_specs(self.filters.clone())
+                                .with_protocol(protocol)
+                                .with_non_subblocked(nsb)
+                                .with_check(check),
+                        );
                     }
                 }
             }
@@ -260,24 +261,16 @@ impl SweepGrid {
     /// [`SweepGrid::suites`]), filters innermost.
     pub fn points(&self) -> Vec<SweepPoint> {
         let mut points = Vec::new();
-        let mut suite = 0;
-        for &cpus in &self.cpus {
-            for &protocol in &self.protocols {
-                for &scale in &self.scales {
-                    for &nsb in &self.non_subblocked {
-                        for &filter in &self.filters {
-                            points.push(SweepPoint {
-                                cpus,
-                                protocol,
-                                scale,
-                                non_subblocked: nsb,
-                                filter,
-                                suite,
-                            });
-                        }
-                        suite += 1;
-                    }
-                }
+        for (suite, options) in self.suites(false).iter().enumerate() {
+            for &filter in &self.filters {
+                points.push(SweepPoint {
+                    cpus: options.cpus,
+                    protocol: options.protocol,
+                    scale: options.scale,
+                    non_subblocked: options.non_subblocked,
+                    filter,
+                    suite,
+                });
             }
         }
         points

@@ -150,7 +150,8 @@ fn help_documents_timings_flag() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("--timings"));
 }
 
-/// Every subcommand the binary must accept, in usage order — the single
+/// Every subcommand the binary must accept, in usage order (the order
+/// `all` prints the exhibits in) — the single
 /// list the usage/error-agreement test checks against, so help output,
 /// error output and the parser can never drift apart again (the historical
 /// failure mode: a subcommand wired into the parser but missing from the
@@ -161,15 +162,15 @@ const EXPECTED_COMMANDS: &[&str] = &[
     "fig2",
     "table2",
     "table3",
-    "table4",
     "fig4a",
     "fig4b",
     "fig5a",
     "fig5b",
+    "table4",
     "fig6",
+    "calibrate",
     "smp8",
     "nsb",
-    "calibrate",
     "ablation",
     "protocols",
     "sweep",
@@ -335,6 +336,49 @@ fn sweep_axes_reshape_the_grid() {
     for id in ["hj-ij10x4x7-ej32x4", "ej-32x4", "none"] {
         assert!(stdout.contains(id), "missing filter id {id}: {stdout}");
     }
+}
+
+/// Splits text-renderer output into its `== title ==` blocks.
+fn blocks(text: &str) -> Vec<String> {
+    let mut blocks: Vec<String> = Vec::new();
+    for line in text.lines() {
+        if line.starts_with("== ") {
+            blocks.push(String::new());
+        }
+        if let Some(current) = blocks.last_mut() {
+            current.push_str(line);
+            current.push('\n');
+        }
+    }
+    blocks
+}
+
+#[test]
+fn a_subset_renders_in_paper_order_once_each() {
+    // Commands name exhibits, not an output order: a repeated or
+    // out-of-order subset renders each exhibit once, in the order `all`
+    // prints them, byte-identical to the same blocks of `all`.
+    let all = repro(&["all", "--scale", "0.002", "--threads", "2"]);
+    assert!(all.status.success(), "stderr: {}", String::from_utf8_lossy(&all.stderr));
+    let subset = repro(&["fig6", "table1", "table1", "smp8", "--scale", "0.002", "--threads", "2"]);
+    assert!(subset.status.success(), "stderr: {}", String::from_utf8_lossy(&subset.stderr));
+    let got = blocks(&String::from_utf8_lossy(&subset.stdout));
+    let titles: Vec<&str> = got.iter().map(|b| b.lines().next().unwrap_or("")).collect();
+    let prefixes = [
+        "== Table 1:",
+        "== Figure 6a:",
+        "== Figure 6b:",
+        "== Figure 6c:",
+        "== Figure 6d:",
+        "== 8-way SMP summary",
+    ];
+    assert_eq!(titles.len(), prefixes.len(), "{titles:?}");
+    for (title, prefix) in titles.iter().zip(prefixes) {
+        assert!(title.starts_with(prefix), "{title:?} where {prefix:?} belongs: {titles:?}");
+    }
+    let all_blocks = blocks(&String::from_utf8_lossy(&all.stdout));
+    let expected: Vec<String> = all_blocks.into_iter().filter(|b| got.contains(b)).collect();
+    assert_eq!(expected, got, "subset blocks must match the same blocks of `all`");
 }
 
 #[test]

@@ -25,12 +25,7 @@ fn serial_and_four_thread_tables_are_byte_identical() {
         tables::table3(&parallel).render(),
         "table3 diverged between serial and 4-thread runs"
     );
-    for panel in [
-        Fig6Panel::SnoopSerial,
-        Fig6Panel::AllSerial,
-        Fig6Panel::SnoopParallel,
-        Fig6Panel::AllParallel,
-    ] {
+    for panel in Fig6Panel::ALL {
         assert_eq!(
             figures::fig6(&serial, panel).render(),
             figures::fig6(&parallel, panel).render(),

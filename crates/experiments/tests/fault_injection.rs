@@ -227,9 +227,10 @@ fn a_fault_on_an_unrequested_suite_is_inert() {
 }
 
 /// A fault on one suite of a same-platform fold: that suite runs alone
-/// and fails under its own id, while the suites it would have folded with
-/// still render byte-identically to the clean run.
-fn assert_fault_hits_only(fault: &str, suite: &str, lost_block: &str) {
+/// and fails under its own id (the failures table's one row), while the
+/// suites it would have folded with still render byte-identically to the
+/// clean run, less the blocks the failed suite feeds.
+fn assert_fault_hits_only(fault: &str, suite: &str, lost_blocks: &[&str]) {
     let clean = repro(None, &["all", "--scale", SCALE, "--threads", "2"]);
     assert_eq!(clean.status.code(), Some(0), "clean run must exit 0");
     let partial = repro(Some(fault), &["all", "--scale", SCALE, "--threads", "2"]);
@@ -238,13 +239,16 @@ fn assert_fault_hits_only(fault: &str, suite: &str, lost_block: &str) {
     let out = stdout(&partial);
     let failures = out.split("== Failed suites").nth(1).unwrap_or_else(|| panic!("{out}"));
     assert!(failures.contains(suite), "{failures}");
+    // The rest of the title line, the header and the rule, then one row
+    // per failed suite.
+    assert_eq!(failures.lines().skip(3).filter(|l| !l.is_empty()).count(), 1, "{failures}");
     for other in [BASE_SUITE, SMP8_SUITE, IJ_SKIP_SUITE, HJ_POLICY_SUITE] {
         if other != suite {
             assert!(!failures.contains(other), "{other} must not fail: {failures}");
         }
     }
     assert_eq!(
-        blocks_without(&stdout(&clean), &[lost_block]),
+        blocks_without(&stdout(&clean), lost_blocks),
         blocks_without(&out, &["Failed suites"]),
         "surviving tables must be byte-identical"
     );
@@ -253,11 +257,21 @@ fn assert_fault_hits_only(fault: &str, suite: &str, lost_block: &str) {
 #[test]
 fn a_failed_suite_of_a_fold_fails_alone() {
     let fault = format!("suite-fail@{IJ_SKIP_SUITE}");
-    assert_fault_hits_only(&fault, IJ_SKIP_SUITE, "Ablation: IJ index overlap");
+    assert_fault_hits_only(&fault, IJ_SKIP_SUITE, &["Ablation: IJ index overlap"]);
 }
 
 #[test]
 fn a_panicking_suite_of_a_fold_fails_alone() {
     let fault = format!("suite-panic@{HJ_POLICY_SUITE}");
-    assert_fault_hits_only(&fault, HJ_POLICY_SUITE, "Ablation: HJ EJ-allocation policy");
+    assert_fault_hits_only(&fault, HJ_POLICY_SUITE, &["Ablation: HJ EJ-allocation policy"]);
+}
+
+#[test]
+fn a_failed_base_suite_skips_each_exhibit_it_feeds_once() {
+    // The base suite feeds eleven blocks: Tables 2-3, Figures 4a-5b, the
+    // four Figure 6 panels and the calibration. Each of those exhibits is
+    // skipped, the failure reports once, and everything else survives.
+    let fault = format!("suite-fail@{BASE_SUITE}");
+    let lost = ["Table 2", "Table 3", "Figure 4", "Figure 5", "Figure 6", "Calibration"];
+    assert_fault_hits_only(&fault, BASE_SUITE, &lost);
 }

@@ -83,10 +83,14 @@ echo "==> fault smoke: one injected suite failure must degrade gracefully"
 # runs alone, so its failure must not touch its would-be fold mates. Leg 3
 # panics inside the 8-way suite's worker: the release profile unwinds, so
 # the engine's per-job containment must hold in the shipped binary too.
+# Leg 4 fails the base suite: each exhibit it feeds is skipped (FAULT_BLOCK
+# keeps the rest of the leg, so awk gets an alternation of their titles)
+# while Figure 2, Table 4 and the other suites' blocks survive.
 for leg in \
   "suite-fail|cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary" \
   "suite-fail|cpus4-scale0.02-sb-moesi-ij-8x4x2+ij-8x4x4+ij-8x4x6+ij-8x4x8|Ablation: IJ index overlap" \
-  "suite-panic|cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary"; do
+  "suite-panic|cpus8-scale0.02-sb-moesi-paperbank22|8-way SMP summary" \
+  "suite-fail|cpus4-scale0.02-sb-moesi-paperbank22|Table 2|Table 3|Figure [456]|Calibration"; do
   FAULT_KIND=${leg%%|*}
   FAULT_REST=${leg#*|}
   FAULT_SUITE=${FAULT_REST%%|*}
