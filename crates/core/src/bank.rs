@@ -78,9 +78,11 @@ struct SharedInclude {
 }
 
 /// One bank member. IJ users hold an index into `FilterBank::includes`.
-// Members are stored by value (no per-probe pointer chase); banks are
-// small, so the size spread between variants is deliberate.
-#[allow(clippy::large_enum_variant)]
+// Members are stored by value (no per-probe pointer chase), except the
+// eager-allocation ablation's hybrid: by value it would make every member
+// 376 bytes instead of 224, and `System` construction cost is
+// allocator-sensitive (ARCHITECTURE §2a.1): a 376-byte member doubled
+// checked-paper's `setup_s`.
 #[derive(Clone, Debug)]
 enum Member {
     Null(NullFilter),
@@ -90,7 +92,7 @@ enum Member {
     /// A backup-policy hybrid: its exclude side over the shared IJ.
     Hybrid(usize, ExcludeSide),
     /// An eager-allocation hybrid, with its private IJ.
-    Eager(HybridJetty),
+    Eager(Box<HybridJetty>),
 }
 
 impl FilterBank {
@@ -110,13 +112,14 @@ impl FilterBank {
             .iter()
             .map(|spec| match *spec {
                 FilterSpec::Null => Member::Null(NullFilter::new()),
-                FilterSpec::Exclude(c) => Member::Exclude(ExcludeJetty::new(c, space)),
-                FilterSpec::VectorExclude(c) => Member::Exclude(ExcludeJetty::new(c, space)),
+                FilterSpec::Exclude(c) | FilterSpec::VectorExclude(c) => {
+                    Member::Exclude(ExcludeJetty::new(c, space))
+                }
                 FilterSpec::Include(c) => Member::Include(shared(c)),
                 FilterSpec::Hybrid(c) if c.ej_allocation == EjAllocation::Backup => {
                     Member::Hybrid(shared(c.include), ExcludeSide::new(c, space))
                 }
-                FilterSpec::Hybrid(c) => Member::Eager(HybridJetty::new(c, space)),
+                FilterSpec::Hybrid(c) => Member::Eager(Box::new(HybridJetty::new(c, space))),
             })
             .collect();
         Self { includes, members }

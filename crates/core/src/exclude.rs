@@ -35,27 +35,35 @@
 //! probe scans only the keys of one set (a 4-way set is 32 contiguous
 //! bytes). The all-ones word marks a never-used way; [`ExcludeJetty::new`]
 //! requires `tag_bits + V <= 63`, so no real key can alias it. Vectors
-//! are at most 32 lanes wide ([`VectorExcludeConfig::new`]), which under
+//! are at most 32 lanes wide ([`ExcludeConfig::new`]), which under
 //! the default 40-bit address space fits at any set count (a 29-bit tag
 //! plus 32 lanes is 61 bits).
+//!
+//! The two set scans of every lookup, `find_way` and `lru_victim`,
+//! live here too. Both are branch-free over the ways of one set, so when
+//! the replay step monomorphises on the associativity (2 and 4 ways, with
+//! a generic fallback; EJ and VEJ alike) the compiler unrolls them into
+//! straight-line compare-and-select code.
 
 use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
 use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
-use crate::kernels::{find_way, lru_victim};
 
-/// Configuration for a one-lane [`ExcludeJetty`], the paper's `EJ-SxA`
-/// naming.
+/// Configuration for an [`ExcludeJetty`]: `lanes` present lanes per
+/// entry. One lane is the paper's `EJ-SxA`, 2 to 32 lanes a `VEJ-SxA-V`.
 ///
 /// # Examples
 ///
 /// ```
 /// use jetty_core::ExcludeConfig;
 ///
-/// let cfg = ExcludeConfig::new(32, 4);
-/// assert_eq!(cfg.entries(), 128);
-/// assert_eq!(cfg.label(), "EJ-32x4");
+/// let ej = ExcludeConfig::new(32, 4, 1);
+/// assert_eq!(ej.entries(), 128);
+/// assert_eq!(ej.label(), "EJ-32x4");
+///
+/// let vej = ExcludeConfig::new(32, 4, 8);
+/// assert_eq!(vej.label(), "VEJ-32x4-8");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExcludeConfig {
@@ -63,131 +71,85 @@ pub struct ExcludeConfig {
     pub sets: usize,
     /// Associativity (entries per set).
     pub ways: usize,
+    /// Present lanes (blocks) per entry; a power of two in `1..=32`.
+    pub lanes: usize,
 }
 
 impl ExcludeConfig {
-    /// Creates a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` is zero or not a power of two, or if `ways` is zero.
-    pub fn new(sets: usize, ways: usize) -> Self {
-        assert!(sets.is_power_of_two(), "EJ sets must be a power of two, got {sets}");
-        assert!(ways > 0, "EJ associativity must be nonzero");
-        Self { sets, ways }
-    }
+    /// Widest present vector an entry may carry: more lanes would not
+    /// leave room for the tag in an entry's 64-bit key word.
+    const MAX_LANES: usize = 32;
 
-    /// Total entries (`sets * ways`).
-    pub fn entries(&self) -> usize {
-        self.sets * self.ways
-    }
-
-    /// Paper-style label, e.g. `EJ-32x4`.
-    pub fn label(&self) -> String {
-        format!("EJ-{}x{}", self.sets, self.ways)
-    }
-}
-
-/// Widest present vector a VEJ entry may carry, in lanes (blocks).
-pub(crate) const MAX_VECTOR_LEN: usize = 32;
-
-/// Whether `vector_len` is a valid VEJ present-vector length: a power of
-/// two in `2..=`[`MAX_VECTOR_LEN`].
-pub(crate) fn is_valid_vector_len(vector_len: usize) -> bool {
-    vector_len.is_power_of_two() && (2..=MAX_VECTOR_LEN).contains(&vector_len)
-}
-
-/// Configuration for a vectored [`ExcludeJetty`], the paper's
-/// `VEJ-SxA-V` naming.
-///
-/// # Examples
-///
-/// ```
-/// use jetty_core::VectorExcludeConfig;
-///
-/// let cfg = VectorExcludeConfig::new(32, 4, 8);
-/// assert_eq!(cfg.label(), "VEJ-32x4-8");
-/// assert_eq!(cfg.entries(), 128);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct VectorExcludeConfig {
-    /// Number of sets; must be a power of two.
-    pub sets: usize,
-    /// Associativity (entries per set).
-    pub ways: usize,
-    /// Present-vector length in blocks; a power of two in `2..=32`.
-    pub vector_len: usize,
-}
-
-impl VectorExcludeConfig {
     /// Creates a configuration.
     ///
     /// # Panics
     ///
     /// Panics if `sets` is not a power of two, if `ways` is zero, or if
-    /// `vector_len` is not a power of two in `2..=32`. A one-lane vector
-    /// is an [`ExcludeConfig`]; more than 32 lanes would not leave room
-    /// for the tag in an entry's 64-bit key word.
-    pub fn new(sets: usize, ways: usize, vector_len: usize) -> Self {
-        assert!(sets.is_power_of_two(), "VEJ sets must be a power of two, got {sets}");
-        assert!(ways > 0, "VEJ associativity must be nonzero");
-        assert!(
-            is_valid_vector_len(vector_len),
-            "VEJ vector length must be a power of two >= 2 and <= {MAX_VECTOR_LEN}, \
-             got {vector_len}"
-        );
-        Self { sets, ways, vector_len }
+    /// `lanes` is not a power of two in `1..=32`.
+    pub fn new(sets: usize, ways: usize, lanes: usize) -> Self {
+        Self::try_new(sets, ways, lanes).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Total entries (`sets * ways`); each entry covers `vector_len`
-    /// blocks.
+    /// [`ExcludeConfig::new`], returning why the geometry is invalid
+    /// instead of panicking.
+    pub(crate) fn try_new(sets: usize, ways: usize, lanes: usize) -> Result<Self, String> {
+        if !sets.is_power_of_two() {
+            return Err(format!("exclude sets must be a power of two, got {sets}"));
+        }
+        if ways == 0 {
+            return Err("exclude associativity must be nonzero".to_owned());
+        }
+        if !lanes.is_power_of_two() || lanes > Self::MAX_LANES {
+            return Err(format!(
+                "exclude lanes must be a power of two <= {}, got {lanes}",
+                Self::MAX_LANES
+            ));
+        }
+        Ok(Self { sets, ways, lanes })
+    }
+
+    /// Total entries (`sets * ways`); each entry covers `lanes` blocks.
     pub fn entries(&self) -> usize {
         self.sets * self.ways
     }
 
-    /// Paper-style label, e.g. `VEJ-32x4-8`.
+    /// Paper-style label, e.g. `EJ-32x4` or `VEJ-32x4-8`.
     pub fn label(&self) -> String {
-        format!("VEJ-{}x{}-{}", self.sets, self.ways, self.vector_len)
+        format!("{}-{}", self.family().to_ascii_uppercase(), self.dims())
     }
-}
 
-/// The configuration of an [`ExcludeJetty`], standalone or as a hybrid's
-/// exclude component: one present lane per entry (EJ) or `V` lanes (VEJ).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ExcludePart {
-    /// An EJ: one lane.
-    Scalar(ExcludeConfig),
-    /// A VEJ: `vector_len` lanes.
-    Vector(VectorExcludeConfig),
-}
-
-impl ExcludePart {
-    /// Paper-style label of the component.
-    pub fn label(&self) -> String {
-        match self {
-            ExcludePart::Scalar(c) => c.label(),
-            ExcludePart::Vector(c) => c.label(),
+    /// The id family: `ej` for one lane, `vej` for a present vector.
+    pub(crate) fn family(&self) -> &'static str {
+        if self.lanes == 1 {
+            "ej"
+        } else {
+            "vej"
         }
     }
 
-    /// `(sets, ways, lanes)`.
-    fn geometry(&self) -> (usize, usize, usize) {
-        match *self {
-            ExcludePart::Scalar(c) => (c.sets, c.ways, 1),
-            ExcludePart::Vector(c) => (c.sets, c.ways, c.vector_len),
+    /// The id dimensions: `SxA`, suffixed `-V` for a present vector.
+    pub(crate) fn dims(&self) -> String {
+        match self.lanes {
+            1 => format!("{}x{}", self.sets, self.ways),
+            v => format!("{}x{}-{v}", self.sets, self.ways),
         }
     }
-}
 
-impl From<ExcludeConfig> for ExcludePart {
-    fn from(value: ExcludeConfig) -> Self {
-        ExcludePart::Scalar(value)
-    }
-}
-
-impl From<VectorExcludeConfig> for ExcludePart {
-    fn from(value: VectorExcludeConfig) -> Self {
-        ExcludePart::Vector(value)
+    /// Parses a [`family`](Self::family) and its [`dims`](Self::dims).
+    /// `None` for an invalid geometry and for a family the lanes do not
+    /// name (`vej` with one lane), so each configuration has one id.
+    pub(crate) fn parse(family: &str, dims: &str) -> Option<Self> {
+        let (sets_ways, lanes) = match family {
+            "ej" => (dims, 1),
+            "vej" => {
+                let (sets_ways, lanes) = dims.split_once('-')?;
+                (sets_ways, lanes.parse().ok()?)
+            }
+            _ => return None,
+        };
+        let (sets, ways) = sets_ways.split_once('x')?;
+        let config = Self::try_new(sets.parse().ok()?, ways.parse().ok()?, lanes).ok()?;
+        (config.family() == family).then_some(config)
     }
 }
 
@@ -204,7 +166,7 @@ const EMPTY_KEY: u64 = u64::MAX;
 /// use jetty_core::{AddrSpace, ExcludeConfig, ExcludeJetty, MissScope, SnoopFilter, UnitAddr,
 ///                  Verdict};
 ///
-/// let mut ej = ExcludeJetty::new(ExcludeConfig::new(8, 2), AddrSpace::default());
+/// let mut ej = ExcludeJetty::new(ExcludeConfig::new(8, 2, 1), AddrSpace::default());
 /// let unit = UnitAddr::new(0x40);
 ///
 /// // Unknown block: cannot filter.
@@ -238,10 +200,10 @@ pub struct ExcludeJetty {
     /// stamped). Touched only on tag hits and replacements.
     stamps: Vec<u64>,
     clock: u64,
-    /// Block-scope `record_snoop_miss` calls since the last reset (each is
+    /// Block-scope `record_snoop_miss` calls so far (each is
     /// exactly one tag write, charged in `activity()`).
     records: u64,
-    /// `on_allocate` calls since the last reset (each is exactly one tag
+    /// `on_allocate` calls so far (each is exactly one tag
     /// read, charged in `activity()`).
     allocates: u64,
     activity: FilterActivity,
@@ -261,8 +223,8 @@ impl ExcludeJetty {
     /// Number of arrays reported by [`SnoopFilter::arrays`].
     const ARRAYS: usize = 1;
 
-    /// Creates an EJ (from an [`ExcludeConfig`]) or a VEJ (from a
-    /// [`VectorExcludeConfig`]) for the given address space.
+    /// Creates an EJ (one lane) or a VEJ (a present vector) for the given
+    /// address space.
     ///
     /// # Panics
     ///
@@ -273,11 +235,11 @@ impl ExcludeJetty {
     /// # Examples
     ///
     /// ```
-    /// use jetty_core::{AddrSpace, ExcludeJetty, MissScope, SnoopFilter, UnitAddr, Verdict,
-    ///                  VectorExcludeConfig};
+    /// use jetty_core::{AddrSpace, ExcludeConfig, ExcludeJetty, MissScope, SnoopFilter, UnitAddr,
+    ///                  Verdict};
     ///
     /// // A VEJ with V = 4: blocks 100 and 101 (units 200/202) share one entry.
-    /// let mut vej = ExcludeJetty::new(VectorExcludeConfig::new(8, 2, 4), AddrSpace::default());
+    /// let mut vej = ExcludeJetty::new(ExcludeConfig::new(8, 2, 4), AddrSpace::default());
     /// vej.record_snoop_miss(UnitAddr::new(200), MissScope::Block);
     /// vej.record_snoop_miss(UnitAddr::new(202), MissScope::Block);
     /// assert_eq!(vej.probe(UnitAddr::new(200)), Verdict::NotCached);
@@ -286,9 +248,8 @@ impl ExcludeJetty {
     /// // Block 102's lane was never recorded.
     /// assert_eq!(vej.probe(UnitAddr::new(204)), Verdict::MaybeCached);
     /// ```
-    pub fn new(config: impl Into<ExcludePart>, space: AddrSpace) -> Self {
-        let config = config.into();
-        let (sets, ways, lanes) = config.geometry();
+    pub fn new(config: ExcludeConfig, space: AddrSpace) -> Self {
+        let ExcludeConfig { sets, ways, lanes } = config;
         let entries = sets * ways;
         let filter = Self {
             space,
@@ -316,12 +277,8 @@ impl ExcludeJetty {
     }
 
     /// The configuration this filter was built with.
-    pub fn config(&self) -> ExcludePart {
-        let (sets, ways) = (self.sets, self.ways);
-        match self.lanes {
-            1 => ExcludePart::Scalar(ExcludeConfig { sets, ways }),
-            v => ExcludePart::Vector(VectorExcludeConfig { sets, ways, vector_len: v as usize }),
-        }
+    pub fn config(&self) -> ExcludeConfig {
+        ExcludeConfig { sets: self.sets, ways: self.ways, lanes: self.lanes as usize }
     }
 
     /// The address space this filter indexes.
@@ -528,10 +485,7 @@ impl SnoopFilter for ExcludeJetty {
 
     fn arrays(&self) -> Vec<ArraySpec> {
         // One set-associative tag store; a probe reads one set (all ways).
-        let label = match self.config() {
-            ExcludePart::Scalar(_) => "ej.tags",
-            ExcludePart::Vector(_) => "vej.tags",
-        };
+        let label = if self.lanes == 1 { "ej.tags" } else { "vej.tags" };
         let entry_bits = (self.tag_bits() + self.lanes) as usize; // tag + present vector
         vec![ArraySpec::sram(label, self.sets, self.ways * entry_bits)]
     }
@@ -545,15 +499,40 @@ impl SnoopFilter for ExcludeJetty {
         activity
     }
 
-    fn reset_activity(&mut self) {
-        self.records = 0;
-        self.allocates = 0;
-        self.activity = FilterActivity::with_arrays(Self::ARRAYS);
-    }
-
     fn name(&self) -> String {
         self.config().label()
     }
+}
+
+/// Lowest way of one set whose word `matches`. Every way is compared and
+/// the match selected with a conditional move: the matching way's position
+/// is data-dependent, so an early-exit scan would mispredict on nearly
+/// every hit. Tags are unique within a set (records insert only after a
+/// failed find), so the scan order cannot change the answer.
+#[inline(always)]
+fn find_way(set: &[u64], matches: impl Fn(u64) -> bool) -> Option<usize> {
+    let mut found = usize::MAX;
+    for (way, &word) in set.iter().enumerate().rev() {
+        if matches(word) {
+            found = way;
+        }
+    }
+    (found != usize::MAX).then_some(found)
+}
+
+/// First least-recently-stamped way of one set (the first minimum, as
+/// `Iterator::min_by_key` picks it): the LRU victim of an insert.
+#[inline(always)]
+fn lru_victim(stamps: &[u64]) -> usize {
+    let mut victim = 0;
+    let mut oldest = stamps[0];
+    for (way, &stamp) in stamps.iter().enumerate().skip(1) {
+        if stamp < oldest {
+            oldest = stamp;
+            victim = way;
+        }
+    }
+    victim
 }
 
 #[cfg(test)]
@@ -561,11 +540,11 @@ mod tests {
     use super::*;
 
     fn ej(sets: usize, ways: usize) -> ExcludeJetty {
-        ExcludeJetty::new(ExcludeConfig::new(sets, ways), AddrSpace::default())
+        ExcludeJetty::new(ExcludeConfig::new(sets, ways, 1), AddrSpace::default())
     }
 
     fn vej(sets: usize, ways: usize, v: usize) -> ExcludeJetty {
-        ExcludeJetty::new(VectorExcludeConfig::new(sets, ways, v), AddrSpace::default())
+        ExcludeJetty::new(ExcludeConfig::new(sets, ways, v), AddrSpace::default())
     }
 
     /// Unit address of block `b` (64-byte blocks = 2 units per block).
@@ -682,20 +661,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_activity_preserves_state() {
-        let mut f = ej(8, 2);
-        let u = UnitAddr::new(11);
-        f.record_snoop_miss(u, MissScope::Block);
-        f.reset_activity();
-        assert_eq!(f.activity().probes, 0);
-        assert_eq!(f.probe(u), Verdict::NotCached);
-    }
-
-    #[test]
     fn name_and_config_roundtrip() {
         let f = ej(16, 2);
         assert_eq!(f.name(), "EJ-16x2");
-        assert_eq!(f.config(), ExcludePart::Scalar(ExcludeConfig::new(16, 2)));
+        assert_eq!(f.config(), ExcludeConfig::new(16, 2, 1));
     }
 
     #[test]
@@ -718,7 +687,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_sets() {
-        let _ = ExcludeConfig::new(12, 2);
+        let _ = ExcludeConfig::new(12, 2, 1);
     }
 
     #[test]
@@ -749,7 +718,7 @@ mod tests {
     fn name_label() {
         let f = vej(16, 4, 4);
         assert_eq!(f.name(), "VEJ-16x4-4");
-        assert_eq!(f.config(), ExcludePart::Vector(VectorExcludeConfig::new(16, 4, 4)));
+        assert_eq!(f.config(), ExcludeConfig::new(16, 4, 4));
     }
 
     #[test]
@@ -843,15 +812,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two >= 2")]
-    fn rejects_vector_len_one() {
-        let _ = VectorExcludeConfig::new(8, 2, 1);
+    fn lanes_must_be_a_power_of_two_up_to_32() {
+        for lanes in [0, 3, 64] {
+            let err = ExcludeConfig::try_new(8, 2, lanes).unwrap_err();
+            assert!(err.ends_with(&format!("got {lanes}")), "{err}");
+        }
+        for lanes in [1, 2, 4, 8, 16, 32] {
+            assert_eq!(ExcludeConfig::try_new(8, 2, lanes).map(|c| c.lanes), Ok(lanes));
+        }
     }
 
     #[test]
     #[should_panic(expected = "<= 32, got 64")]
     fn rejects_vector_len_over_32() {
-        let _ = VectorExcludeConfig::new(8, 4, 64);
+        let _ = ExcludeConfig::new(8, 4, 64);
     }
 
     #[test]
@@ -859,9 +833,15 @@ mod tests {
     fn rejects_a_key_wider_than_63_bits() {
         // 60-bit PA, 64-byte blocks: 54 block bits - 5 lane bits - 3 set
         // bits = a 46-bit tag.
-        let _ = ExcludeJetty::new(
-            VectorExcludeConfig::new(8, 4, 32),
-            AddrSpace::with_block_shift(60, 5, 6),
-        );
+        let _ =
+            ExcludeJetty::new(ExcludeConfig::new(8, 4, 32), AddrSpace::with_block_shift(60, 5, 6));
+    }
+
+    #[test]
+    fn set_scans_pick_the_lowest_match_and_the_first_minimum() {
+        assert_eq!(find_way(&[7, 3, 3, 9], |w| w == 3), Some(1));
+        assert_eq!(find_way(&[7, 3], |w| w == 4), None);
+        assert_eq!(lru_victim(&[5, 2, 9, 2]), 1);
+        assert_eq!(lru_victim(&[0]), 0);
     }
 }

@@ -126,8 +126,7 @@ impl ArrayActivity {
     }
 }
 
-/// A filter's accumulated activity since construction (or the last
-/// [`SnoopFilter::reset_activity`]).
+/// A filter's accumulated activity since construction.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FilterActivity {
     /// Per-array access counts, aligned with [`SnoopFilter::arrays`].
@@ -365,9 +364,6 @@ pub trait SnoopFilter: fmt::Debug + Send {
 
     /// Access counts accumulated so far, aligned with [`arrays`](Self::arrays).
     fn activity(&self) -> FilterActivity;
-
-    /// Clears the accumulated activity counters (state is preserved).
-    fn reset_activity(&mut self);
 
     /// Short configuration name, e.g. `"EJ-32x4"` or `"IJ-10x4x7"`.
     fn name(&self) -> String;

@@ -15,8 +15,8 @@
 //! always pay probe energy.
 //!
 //! The exclude component is one [`ExcludeJetty`], an EJ or a VEJ as its
-//! [`ExcludePart`] says (the VEJ is the same structure with a wider
-//! present vector), so every hybrid path calls it directly.
+//! [`ExcludeConfig`]'s lane count says (the VEJ is the same structure
+//! with a wider present vector), so every hybrid path calls it directly.
 //!
 //! Because the IJ component never learns from snoops, its state is the
 //! same as a standalone IJ's of the same geometry. Inside a
@@ -28,7 +28,7 @@
 use std::fmt;
 
 use crate::addr::{AddrSpace, UnitAddr};
-use crate::exclude::{ExcludeJetty, ExcludePart};
+use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::{ArraySpec, FilterActivity, MissScope, SnoopFilter, Verdict};
 use crate::include::{IncludeConfig, IncludeJetty};
 
@@ -54,7 +54,7 @@ pub enum EjAllocation {
 /// ```
 /// use jetty_core::{ExcludeConfig, HybridConfig, IncludeConfig};
 ///
-/// let cfg = HybridConfig::new(IncludeConfig::new(10, 4, 7), ExcludeConfig::new(32, 4));
+/// let cfg = HybridConfig::new(IncludeConfig::new(10, 4, 7), ExcludeConfig::new(32, 4, 1));
 /// assert_eq!(cfg.label(), "(IJ-10x4x7, EJ-32x4)");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -62,7 +62,7 @@ pub struct HybridConfig {
     /// The include component.
     pub include: IncludeConfig,
     /// The exclude component.
-    pub exclude: ExcludePart,
+    pub exclude: ExcludeConfig,
     /// EJ allocation policy (the paper uses [`EjAllocation::Backup`]).
     pub ej_allocation: EjAllocation,
 }
@@ -70,8 +70,8 @@ pub struct HybridConfig {
 impl HybridConfig {
     /// Creates a hybrid configuration with the paper's backup allocation
     /// policy.
-    pub fn new(include: IncludeConfig, exclude: impl Into<ExcludePart>) -> Self {
-        Self { include, exclude: exclude.into(), ej_allocation: EjAllocation::Backup }
+    pub fn new(include: IncludeConfig, exclude: ExcludeConfig) -> Self {
+        Self { include, exclude, ej_allocation: EjAllocation::Backup }
     }
 
     /// Switches to the eager EJ-allocation ablation variant.
@@ -100,7 +100,7 @@ impl HybridConfig {
 /// use jetty_core::{AddrSpace, ExcludeConfig, HybridConfig, HybridJetty, IncludeConfig,
 ///                  SnoopFilter, UnitAddr, Verdict};
 ///
-/// let cfg = HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2));
+/// let cfg = HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2, 1));
 /// let mut hj = HybridJetty::new(cfg, AddrSpace::default());
 /// let unit = UnitAddr::new(0xC0FFEE);
 ///
@@ -235,13 +235,6 @@ impl SnoopFilter for HybridJetty {
         self.side.activity(&self.include)
     }
 
-    fn reset_activity(&mut self) {
-        self.include.reset_activity();
-        self.side.exclude.reset_activity();
-        self.side.probes = 0;
-        self.side.filtered = 0;
-    }
-
     fn name(&self) -> String {
         self.side.config.label()
     }
@@ -354,11 +347,10 @@ impl ExcludeSide {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exclude::{ExcludeConfig, VectorExcludeConfig};
 
     fn hj() -> HybridJetty {
         HybridJetty::new(
-            HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2)),
+            HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2, 1)),
             AddrSpace::default(),
         )
     }
@@ -434,8 +426,7 @@ mod tests {
 
     #[test]
     fn vector_exclude_part_works() {
-        let cfg =
-            HybridConfig::new(IncludeConfig::new(8, 4, 7), VectorExcludeConfig::new(32, 4, 8));
+        let cfg = HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(32, 4, 8));
         assert_eq!(cfg.label(), "(IJ-8x4x7, VEJ-32x4-8)");
         let mut f = HybridJetty::new(cfg, AddrSpace::default());
         let cached = UnitAddr::new(0x0BAD_CAFE);
@@ -468,21 +459,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_activity_zeroes_everything() {
-        let mut f = hj();
-        f.probe(UnitAddr::new(1));
-        f.on_allocate(UnitAddr::new(2));
-        f.reset_activity();
-        let act = f.activity();
-        assert_eq!(act.probes, 0);
-        assert!(act.arrays.iter().all(|a| a.total() == 0));
-    }
-
-    #[test]
     fn storage_is_sum_of_parts() {
         let f = hj();
         let ij = IncludeJetty::new(IncludeConfig::new(8, 4, 7), AddrSpace::default());
-        let ej = ExcludeJetty::new(ExcludeConfig::new(16, 2), AddrSpace::default());
+        let ej = ExcludeJetty::new(ExcludeConfig::new(16, 2, 1), AddrSpace::default());
         assert_eq!(f.storage_bits(), ij.storage_bits() + ej.storage_bits());
     }
 
@@ -493,7 +473,7 @@ mod tests {
 
     #[test]
     fn eager_allocation_learns_from_ij_filtered_snoops() {
-        let cfg = HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2))
+        let cfg = HybridConfig::new(IncludeConfig::new(8, 4, 7), ExcludeConfig::new(16, 2, 1))
             .with_eager_allocation();
         assert_eq!(cfg.label(), "(IJ-8x4x7, EJ-16x2, eager)");
         let mut f = HybridJetty::new(cfg, AddrSpace::default());

@@ -11,8 +11,8 @@
 //! answers most of those would-miss snoops itself:
 //!
 //! * [`ExcludeJetty`] (EJ) remembers recently snooped units that missed —
-//!   a *subset* of what is not cached; built from a
-//!   [`VectorExcludeConfig`], the same type is the Vector-Exclude-Jetty
+//!   a *subset* of what is not cached; built from an [`ExcludeConfig`]
+//!   with more than one lane, the same type is the Vector-Exclude-Jetty
 //!   (VEJ), whose entries widen the present bit into a present-vector to
 //!   exploit spatial locality;
 //! * [`IncludeJetty`] (IJ) keeps counting-Bloom-filter sub-arrays over the
@@ -68,7 +68,7 @@ mod spec;
 
 pub use addr::{AddrSpace, UnitAddr};
 pub use bank::FilterBank;
-pub use exclude::{ExcludeConfig, ExcludeJetty, ExcludePart, VectorExcludeConfig};
+pub use exclude::{ExcludeConfig, ExcludeJetty};
 pub use filter::{
     ArrayActivity, ArrayKind, ArraySpec, EventView, FilterActivity, FilterEvent, MissScope,
     SnoopFilter, Verdict,

@@ -50,10 +50,6 @@ impl SnoopFilter for NullFilter {
         FilterActivity { arrays: Vec::new(), probes: self.probes, filtered: 0 }
     }
 
-    fn reset_activity(&mut self) {
-        self.probes = 0;
-    }
-
     fn name(&self) -> String {
         "none".to_owned()
     }
@@ -78,13 +74,5 @@ mod tests {
         assert_eq!(act.filtered, 0);
         assert_eq!(f.storage_bits(), 0);
         assert_eq!(f.name(), "none");
-    }
-
-    #[test]
-    fn reset_clears_probe_count() {
-        let mut f = NullFilter::new();
-        f.probe(UnitAddr::new(1));
-        f.reset_activity();
-        assert_eq!(f.activity().probes, 0);
     }
 }

@@ -7,9 +7,7 @@
 use std::fmt;
 
 use crate::addr::AddrSpace;
-use crate::exclude::{
-    is_valid_vector_len, ExcludeConfig, ExcludeJetty, ExcludePart, VectorExcludeConfig,
-};
+use crate::exclude::{ExcludeConfig, ExcludeJetty};
 use crate::filter::SnoopFilter;
 use crate::hybrid::{EjAllocation, HybridConfig, HybridJetty};
 use crate::include::{IncludeConfig, IncludeJetty};
@@ -33,8 +31,8 @@ pub enum FilterSpec {
     Null,
     /// A one-lane [`ExcludeJetty`] (EJ).
     Exclude(ExcludeConfig),
-    /// A vectored [`ExcludeJetty`] (VEJ).
-    VectorExclude(VectorExcludeConfig),
+    /// A vectored [`ExcludeJetty`] (VEJ): 2 to 32 lanes.
+    VectorExclude(ExcludeConfig),
     /// An [`IncludeJetty`].
     Include(IncludeConfig),
     /// A [`HybridJetty`].
@@ -44,12 +42,21 @@ pub enum FilterSpec {
 impl FilterSpec {
     /// Shorthand for an `EJ-SxA` spec.
     pub fn exclude(sets: usize, ways: usize) -> Self {
-        FilterSpec::Exclude(ExcludeConfig::new(sets, ways))
+        Self::excluding(ExcludeConfig::new(sets, ways, 1))
     }
 
-    /// Shorthand for a `VEJ-SxA-V` spec.
+    /// Shorthand for a `VEJ-SxA-V` spec (`EJ-SxA` when `vector_len` is 1).
     pub fn vector_exclude(sets: usize, ways: usize, vector_len: usize) -> Self {
-        FilterSpec::VectorExclude(VectorExcludeConfig::new(sets, ways, vector_len))
+        Self::excluding(ExcludeConfig::new(sets, ways, vector_len))
+    }
+
+    /// The standalone spec of `config`: [`FilterSpec::Exclude`] for one
+    /// lane, [`FilterSpec::VectorExclude`] for a present vector.
+    fn excluding(config: ExcludeConfig) -> Self {
+        match config.lanes {
+            1 => FilterSpec::Exclude(config),
+            _ => FilterSpec::VectorExclude(config),
+        }
     }
 
     /// Shorthand for an `IJ-ExNxS` spec.
@@ -61,7 +68,7 @@ impl FilterSpec {
     pub fn hybrid_scalar(e: u32, n: u32, s: u32, sets: usize, ways: usize) -> Self {
         FilterSpec::Hybrid(HybridConfig::new(
             IncludeConfig::new(e, n, s),
-            ExcludeConfig::new(sets, ways),
+            ExcludeConfig::new(sets, ways, 1),
         ))
     }
 
@@ -69,7 +76,7 @@ impl FilterSpec {
     pub fn hybrid_vector(e: u32, n: u32, s: u32, sets: usize, ways: usize, v: usize) -> Self {
         FilterSpec::Hybrid(HybridConfig::new(
             IncludeConfig::new(e, n, s),
-            VectorExcludeConfig::new(sets, ways, v),
+            ExcludeConfig::new(sets, ways, v),
         ))
     }
 
@@ -77,7 +84,7 @@ impl FilterSpec {
     /// [`FilterSpec::hybrid_scalar`].
     pub fn hybrid_scalar_eager(e: u32, n: u32, s: u32, sets: usize, ways: usize) -> Self {
         FilterSpec::Hybrid(
-            HybridConfig::new(IncludeConfig::new(e, n, s), ExcludeConfig::new(sets, ways))
+            HybridConfig::new(IncludeConfig::new(e, n, s), ExcludeConfig::new(sets, ways, 1))
                 .with_eager_allocation(),
         )
     }
@@ -91,8 +98,9 @@ impl FilterSpec {
     pub fn build(&self, space: AddrSpace) -> Box<dyn SnoopFilter> {
         match *self {
             FilterSpec::Null => Box::new(NullFilter::new()),
-            FilterSpec::Exclude(c) => Box::new(ExcludeJetty::new(c, space)),
-            FilterSpec::VectorExclude(c) => Box::new(ExcludeJetty::new(c, space)),
+            FilterSpec::Exclude(c) | FilterSpec::VectorExclude(c) => {
+                Box::new(ExcludeJetty::new(c, space))
+            }
             FilterSpec::Include(c) => Box::new(IncludeJetty::new(c, space)),
             FilterSpec::Hybrid(c) => Box::new(HybridJetty::new(c, space)),
         }
@@ -115,24 +123,26 @@ impl FilterSpec {
     pub fn id(&self) -> String {
         match self {
             FilterSpec::Null => "none".to_owned(),
-            FilterSpec::Exclude(c) => format!("ej-{}x{}", c.sets, c.ways),
-            FilterSpec::VectorExclude(c) => {
-                format!("vej-{}x{}-{}", c.sets, c.ways, c.vector_len)
+            FilterSpec::Exclude(c) | FilterSpec::VectorExclude(c) => {
+                format!("{}-{}", c.family(), c.dims())
             }
             FilterSpec::Include(c) => {
                 format!("ij-{}x{}x{}", c.index_bits, c.sub_arrays, c.skip)
             }
             FilterSpec::Hybrid(c) => {
-                let ij = &c.include;
-                let ej = match &c.exclude {
-                    ExcludePart::Scalar(x) => format!("ej{}x{}", x.sets, x.ways),
-                    ExcludePart::Vector(x) => format!("vej{}x{}-{}", x.sets, x.ways, x.vector_len),
-                };
+                let (ij, ej) = (&c.include, &c.exclude);
                 let eager = match c.ej_allocation {
                     EjAllocation::Backup => "",
                     EjAllocation::Eager => "-eager",
                 };
-                format!("hj-ij{}x{}x{}-{}{}", ij.index_bits, ij.sub_arrays, ij.skip, ej, eager)
+                format!(
+                    "hj-ij{}x{}x{}-{}{}{eager}",
+                    ij.index_bits,
+                    ij.sub_arrays,
+                    ij.skip,
+                    ej.family(),
+                    ej.dims()
+                )
             }
         }
     }
@@ -147,54 +157,36 @@ impl FilterSpec {
         if id == "none" {
             return Some(FilterSpec::Null);
         }
-        if let Some(rest) = id.strip_prefix("hj-") {
-            let (rest, eager) = match rest.strip_suffix("-eager") {
-                Some(r) => (r, true),
-                None => (rest, false),
-            };
-            let rest = rest.strip_prefix("ij")?;
-            // The IJ dims contain no dashes, so the first `-ej` / `-vej`
-            // cleanly separates the two components.
-            let (ij_part, ej_part, vector) = if let Some(i) = rest.find("-vej") {
-                (&rest[..i], &rest[i + 4..], true)
-            } else if let Some(i) = rest.find("-ej") {
-                (&rest[..i], &rest[i + 3..], false)
-            } else {
-                return None;
-            };
-            let (e, n, s) = parse_ij_dims(ij_part)?;
-            let include = IncludeConfig::new(e, n, s);
-            let config = if vector {
-                let (sets, ways, v) = parse_vej_dims(ej_part)?;
-                HybridConfig::new(include, VectorExcludeConfig::new(sets, ways, v))
-            } else {
-                let (sets, ways) = parse_ej_dims(ej_part)?;
-                HybridConfig::new(include, ExcludeConfig::new(sets, ways))
-            };
-            let config = if eager { config.with_eager_allocation() } else { config };
-            return Some(FilterSpec::Hybrid(config));
+        let (family, dims) = id.split_once('-')?;
+        match family {
+            "ij" => {
+                let (e, n, s) = parse_ij_dims(dims)?;
+                Some(Self::include(e, n, s))
+            }
+            "hj" => {
+                let (dims, eager) = match dims.strip_suffix("-eager") {
+                    Some(d) => (d, true),
+                    None => (dims, false),
+                };
+                // The IJ dims contain no dashes, so the first dash ends
+                // them; the exclude family's letters run up to its dims.
+                let (ij_dims, exclude) = dims.strip_prefix("ij")?.split_once('-')?;
+                let (e, n, s) = parse_ij_dims(ij_dims)?;
+                let split = exclude.find(|c: char| c.is_ascii_digit())?;
+                let exclude = ExcludeConfig::parse(&exclude[..split], &exclude[split..])?;
+                let config = HybridConfig::new(IncludeConfig::new(e, n, s), exclude);
+                let config = if eager { config.with_eager_allocation() } else { config };
+                Some(FilterSpec::Hybrid(config))
+            }
+            _ => ExcludeConfig::parse(family, dims).map(Self::excluding),
         }
-        if let Some(rest) = id.strip_prefix("vej-") {
-            let (sets, ways, v) = parse_vej_dims(rest)?;
-            return Some(Self::vector_exclude(sets, ways, v));
-        }
-        if let Some(rest) = id.strip_prefix("ej-") {
-            let (sets, ways) = parse_ej_dims(rest)?;
-            return Some(Self::exclude(sets, ways));
-        }
-        if let Some(rest) = id.strip_prefix("ij-") {
-            let (e, n, s) = parse_ij_dims(rest)?;
-            return Some(Self::include(e, n, s));
-        }
-        None
     }
 
     /// Paper-style label for result rows.
     pub fn label(&self) -> String {
         match self {
             FilterSpec::Null => "none".to_owned(),
-            FilterSpec::Exclude(c) => c.label(),
-            FilterSpec::VectorExclude(c) => c.label(),
+            FilterSpec::Exclude(c) | FilterSpec::VectorExclude(c) => c.label(),
             FilterSpec::Include(c) => c.label(),
             FilterSpec::Hybrid(c) => c.label(),
         }
@@ -260,22 +252,6 @@ impl FilterSpec {
         bank.push(Self::hybrid_vector(10, 4, 7, 32, 4, 8));
         bank
     }
-}
-
-/// Parses `SETSxWAYS`, validating what [`ExcludeConfig::new`] asserts.
-fn parse_ej_dims(s: &str) -> Option<(usize, usize)> {
-    let (sets, ways) = s.split_once('x')?;
-    let (sets, ways) = (sets.parse().ok()?, ways.parse().ok()?);
-    (usize::is_power_of_two(sets) && ways > 0).then_some((sets, ways))
-}
-
-/// Parses `SETSxWAYS-VLEN`, validating what [`VectorExcludeConfig::new`]
-/// asserts.
-fn parse_vej_dims(s: &str) -> Option<(usize, usize, usize)> {
-    let (dims, vlen) = s.split_once('-')?;
-    let (sets, ways) = parse_ej_dims(dims)?;
-    let vlen: usize = vlen.parse().ok()?;
-    is_valid_vector_len(vlen).then_some((sets, ways, vlen))
 }
 
 /// Parses `ExNxS`, validating what [`IncludeConfig::new`] asserts.
@@ -371,6 +347,40 @@ mod tests {
         assert_eq!(FilterSpec::from_id("NONE"), Some(FilterSpec::Null));
     }
 
+    /// One exclude configuration, one id: every lane count round-trips
+    /// under the EJ/VEJ names and lands in the variant its lanes name.
+    #[test]
+    fn exclude_configs_round_trip_for_every_lane_count() {
+        for (sets, ways) in [(8, 2), (32, 4), (1, 1), (16, 3)] {
+            for lanes in [1, 2, 4, 8, 16, 32] {
+                let (label, id, hybrid_id) = if lanes == 1 {
+                    (
+                        format!("EJ-{sets}x{ways}"),
+                        format!("ej-{sets}x{ways}"),
+                        format!("hj-ij10x4x7-ej{sets}x{ways}"),
+                    )
+                } else {
+                    (
+                        format!("VEJ-{sets}x{ways}-{lanes}"),
+                        format!("vej-{sets}x{ways}-{lanes}"),
+                        format!("hj-ij10x4x7-vej{sets}x{ways}-{lanes}"),
+                    )
+                };
+                let spec = FilterSpec::vector_exclude(sets, ways, lanes);
+                assert_eq!(spec.label(), label);
+                assert_eq!(spec.id(), id);
+                assert_eq!(FilterSpec::from_id(&spec.id()), Some(spec), "{id}");
+                assert_eq!(matches!(spec, FilterSpec::Exclude(_)), lanes == 1, "{id}");
+                let hybrid = FilterSpec::hybrid_vector(10, 4, 7, sets, ways, lanes);
+                assert_eq!(hybrid.label(), format!("(IJ-10x4x7, {label})"));
+                assert_eq!(hybrid.id(), hybrid_id);
+                assert_eq!(FilterSpec::from_id(&hybrid.id()), Some(hybrid), "{hybrid_id}");
+            }
+        }
+        assert_eq!(FilterSpec::exclude(32, 4), FilterSpec::vector_exclude(32, 4, 1));
+        assert_eq!(FilterSpec::hybrid_scalar(10, 4, 7, 32, 4).id(), "hj-ij10x4x7-ej32x4");
+    }
+
     #[test]
     fn from_id_rejects_garbage_without_panicking() {
         for bad in [
@@ -384,6 +394,10 @@ mod tests {
             "vej-16x4-3",
             "vej-8x4-64",
             "vej-8x4-128",
+            "vej-8x2-1",
+            "vej-8x2-0",
+            "ej-8x2-1",
+            "hj-ij10x4x7-vej8x2-1",
             "hj-ij10x4x7-vej32x4-64",
             "ij-0x4x7",
             "ij-31x4x7",

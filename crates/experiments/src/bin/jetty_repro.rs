@@ -425,7 +425,7 @@ fn main() -> ExitCode {
     // Prefetch: every suite the selected exhibits read, as one concurrent
     // engine batch, so each build below renders from the cache. Repeated
     // keys stay in: the engine coalesces them and counts the repeats as
-    // cache hits, which the `[sweep]` line reports.
+    // cache hits.
     let prefetch: Vec<RunOptions> = selected.iter().flat_map(|e| e.suites(&ctx)).collect();
 
     // Failed suites, in first-seen order, deduplicated by suite id (the
@@ -499,30 +499,34 @@ fn main() -> ExitCode {
     // failed is skipped (its failure is already recorded above) and the
     // independent exhibits carry on.
     let mut set = ResultSet::new();
+    let mut sweep_build = None;
     for exhibit in &selected {
+        let before = engine.stats();
         for table in exhibit.build(&engine, &ctx) {
             match table {
                 Ok(table) => set.push(table),
                 Err(e) => record_failure(e),
             }
         }
+        if *exhibit == Exhibit::Sweep {
+            sweep_build = Some((before, engine.stats()));
+        }
     }
-    if selected.contains(&Exhibit::Sweep) {
-        // The grid's cache economics, engine-wide: with `sweep` alone the
-        // prefetch executes one simulation per suite and the build reads
-        // one cached suite per point, so the hit rate is
-        // points / (points + suites); sharing keys with other exhibits in
-        // the same invocation (e.g. `protocols sweep`) raises it.
-        let stats = engine.stats();
+    if let Some((before, after)) = sweep_build {
+        // The grid's own cache economics: its suites are requested once by
+        // the prefetch and the build reads one cached suite per point, so
+        // the hit rate is points / (points + suites) whatever else the
+        // invocation runs. Other exhibits' requests are left out, even
+        // where they share the grid's keys.
+        let suites = ctx.grid.suites(cli.check).len() as u64;
+        let hits = after.cache_hits - before.cache_hits;
+        let requests = suites + after.requests() - before.requests();
         eprintln!(
-            "[sweep] grid {} -> {} points over {} suites; engine cache: {} hits / {} requests \
-             (hit rate {:.1}%)",
+            "[sweep] grid {} -> {} points over {suites} suites; engine cache: {hits} hits / \
+             {requests} requests (hit rate {:.1}%)",
             ctx.grid.describe(),
             ctx.grid.points().len(),
-            ctx.grid.suites(cli.check).len(),
-            stats.cache_hits,
-            stats.cache_hits + stats.suites_executed + stats.suites_failed,
-            100.0 * stats.hit_rate(),
+            100.0 * hits as f64 / requests.max(1) as f64,
         );
     }
 

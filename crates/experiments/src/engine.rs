@@ -99,15 +99,17 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
+    /// Suite requests served so far: memo hits, executions and failures.
+    pub fn requests(&self) -> u64 {
+        self.cache_hits + self.suites_executed + self.suites_failed
+    }
+
     /// Cache hits as a fraction of all suite requests served so far, in
-    /// `[0, 1]` (0 when nothing has been requested yet). The number the
-    /// `jetty-repro sweep` stderr summary reports.
+    /// `[0, 1]` (0 when nothing has been requested yet).
     pub fn hit_rate(&self) -> f64 {
-        let requests = self.cache_hits + self.suites_executed + self.suites_failed;
-        if requests == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / requests as f64
+        match self.requests() {
+            0 => 0.0,
+            requests => self.cache_hits as f64 / requests as f64,
         }
     }
 }

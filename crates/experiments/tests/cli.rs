@@ -281,6 +281,27 @@ fn sweep_runs_a_two_axis_grid_with_observable_cache_reuse() {
 }
 
 #[test]
+fn sweep_cache_line_counts_only_the_grid() {
+    // Other exhibits in the same invocation request suites of their own
+    // (the base suite of `all`, the protocol suites that share the grid's
+    // keys); the `[sweep]` line reports the grid's requests alone.
+    let sweep_line = |args: &[&str]| {
+        let out = repro(args);
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        stderr
+            .lines()
+            .find(|l| l.starts_with("[sweep]"))
+            .unwrap_or_else(|| panic!("no [sweep] line: {stderr}"))
+            .to_owned()
+    };
+    let alone = sweep_line(&["sweep", "--scale", "0.002", "--threads", "2"]);
+    let mixed = sweep_line(&["all", "protocols", "sweep", "--scale", "0.002", "--threads", "2"]);
+    assert_eq!(alone, mixed);
+    assert!(alone.ends_with("6 hits / 12 requests (hit rate 50.0%)"), "{alone}");
+}
+
+#[test]
 fn all_folds_same_platform_suites_and_says_so() {
     let out = repro(&["all", "--scale", "0.002", "--threads", "2", "--timings"]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));

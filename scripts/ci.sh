@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# The full CI gauntlet, runnable locally. Mirrors .github/workflows/ci.yml.
+# The full CI gauntlet, runnable locally. .github/workflows/ci.yml runs this
+# script after its checkout, toolchain and cache steps, so this file is the
+# one definition of every check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
