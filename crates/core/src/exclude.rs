@@ -61,9 +61,6 @@ use crate::filter::{ArrayActivity, ArraySpec, FilterActivity, MissScope, SnoopFi
 /// let ej = ExcludeConfig::new(32, 4, 1);
 /// assert_eq!(ej.entries(), 128);
 /// assert_eq!(ej.label(), "EJ-32x4");
-///
-/// let vej = ExcludeConfig::new(32, 4, 8);
-/// assert_eq!(vej.label(), "VEJ-32x4-8");
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExcludeConfig {
@@ -114,6 +111,16 @@ impl ExcludeConfig {
     }
 
     /// Paper-style label, e.g. `EJ-32x4` or `VEJ-32x4-8`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jetty_core::ExcludeConfig;
+    ///
+    /// let vej = ExcludeConfig::new(32, 4, 8);
+    /// assert_eq!(vej.label(), "VEJ-32x4-8");
+    /// assert_eq!(vej.entries(), 128);
+    /// ```
     pub fn label(&self) -> String {
         format!("{}-{}", self.family().to_ascii_uppercase(), self.dims())
     }
